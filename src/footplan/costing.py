@@ -39,10 +39,6 @@ class CostParams:
             raise ValueError("nominal_stance_width must be positive")
 
 
-def _planar(snap: SnapResult) -> Pose2:
-    return snap.planar_pose
-
-
 def edge_cost(
     parent_snap: SnapResult,
     child_snap: SnapResult,
@@ -52,8 +48,8 @@ def edge_cost(
     """Step cost: midstance displacement from the parent's nominal midstance,
     height change, midstance yaw change, uncovered foothold area, and surface
     roll/pitch, plus a constant per-step charge."""
-    parent = _planar(parent_snap)
-    child = _planar(child_snap)
+    parent = parent_snap.planar_pose
+    child = child_snap.planar_pose
 
     offset = stance_side.mirror_sign * params.nominal_stance_width / 2.0
     cos_y, sin_y = math.cos(parent.yaw), math.sin(parent.yaw)

@@ -67,7 +67,7 @@ class ConvexPolygon2:
     GeometryError.
     """
 
-    __slots__ = ("vertices", "area")
+    __slots__ = ("vertices", "area", "_circumradius")
 
     def __init__(self, vertices):
         verts = _dedupe(vertices)
@@ -103,6 +103,15 @@ class ConvexPolygon2:
 
     def __repr__(self):
         return f"ConvexPolygon2({list(self.vertices)!r})"
+
+    @property
+    def circumradius(self) -> float:
+        """Distance from the origin to the farthest vertex, computed once."""
+        try:
+            return self._circumradius
+        except AttributeError:
+            self._circumradius = max(math.hypot(x, y) for x, y in self.vertices)
+            return self._circumradius
 
     @property
     def bounds(self) -> tuple[float, float, float, float]:
@@ -195,10 +204,6 @@ def point_in_polygon(point, polygon: ConvexPolygon2, slack: float = BOUNDARY_SLA
         if d > slack:
             return False
     return True
-
-
-def polygon_area(polygon: ConvexPolygon2) -> float:
-    return polygon.area
 
 
 def clip_vertices(subject, clip_verts, slack: float = BOUNDARY_SLACK) -> list[Point2]:

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costing import CostParams
-from .geometry import ConvexPolygon2, GeometryError
+from .geometry import ConvexPolygon2, GeometryError, Pose2
 from .lattice import ExpansionParams, LatticeParams
+from .planner import PlannerRequest
 from .snapping import FootPolygon, default_foot
 from .validity import CheckerParams
 from .wiggle import WiggleParams
@@ -39,6 +40,25 @@ class ParamsBundle:
     def __post_init__(self):
         if self.wiggle.inset_distance >= self.lattice.xy_resolution:
             raise ParamsError("wiggle_inset_distance must be below xy_resolution")
+
+    def planner_request(
+        self, env, start_left: Pose2, start_right: Pose2, goal: Pose2, timeout: float
+    ) -> PlannerRequest:
+        """The search request these parameters set up for one start and goal."""
+        return PlannerRequest(
+            env=env,
+            start_left=start_left,
+            start_right=start_right,
+            goal_midstance=goal,
+            goal_tolerance=self.goal_tolerance,
+            goal_tolerance_yaw=self.goal_tolerance_yaw,
+            timeout=timeout,
+            lattice=self.lattice,
+            expansion=self.expansion,
+            checker=self.checker,
+            cost=self.cost,
+            foot=self.foot,
+        )
 
 
 _LATTICE_KEYS = {"xy_resolution", "yaw_resolution"}

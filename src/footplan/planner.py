@@ -21,7 +21,7 @@ from .lattice import (
     pose_to_node,
 )
 from .snapping import FootPolygon, SnapFailure, SnapResult, default_foot, snap_pose
-from .validity import CheckerParams, RejectionReason, midstance_pose, validate_edge
+from .validity import CheckerParams, midstance_pose, validate_edge
 from .world import Environment
 
 
@@ -88,13 +88,13 @@ class PlannerResult:
     tracker_history: list[float] = field(default_factory=list)
 
 
-def _goal_feet(goal: Pose2, stance_width: float) -> dict[Side, Pose2]:
+def feet_from_midstance(mid: Pose2, stance_width: float) -> tuple[Pose2, Pose2]:
+    """The left and right foot poses of a nominal stance around `mid`."""
     half = stance_width / 2.0
-    cos_y, sin_y = math.cos(goal.yaw), math.sin(goal.yaw)
-    return {
-        Side.LEFT: Pose2(goal.x - sin_y * half, goal.y + cos_y * half, goal.yaw),
-        Side.RIGHT: Pose2(goal.x + sin_y * half, goal.y - cos_y * half, goal.yaw),
-    }
+    cos_y, sin_y = math.cos(mid.yaw), math.sin(mid.yaw)
+    left = Pose2(mid.x - sin_y * half, mid.y + cos_y * half, mid.yaw)
+    right = Pose2(mid.x + sin_y * half, mid.y - cos_y * half, mid.yaw)
+    return left, right
 
 
 def _within_goal(pose: Pose2, target: Pose2, request: PlannerRequest) -> bool:
@@ -120,7 +120,8 @@ class _Search:
         self.best_key: tuple[float, float] | None = None
         self.tracker_history: list[float] = []
         self.start_mid = midstance_pose(request.start_left, request.start_right)
-        self.goal_feet = _goal_feet(request.goal_midstance, request.cost.nominal_stance_width)
+        left, right = feet_from_midstance(request.goal_midstance, request.cost.nominal_stance_width)
+        self.goal_feet = {Side.LEFT: left, Side.RIGHT: right}
 
     def snap(self, node: FootstepNode) -> SnapResult | SnapFailure:
         cached = self.snap_memo.get(node)

@@ -43,7 +43,7 @@ class FootPolygon:
 
     @property
     def circumradius(self) -> float:
-        return max(math.hypot(x, y) for x, y in self.sole.vertices)
+        return self.sole.circumradius
 
 
 def default_foot() -> FootPolygon:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from ..geometry import Pose2
 from ..params import ParamsBundle, ParamsError, load_params
-from ..planner import PlannerRequest, plan
+from ..planner import plan
 from ..world import Environment, WorldLoadError, load_environment
 
 CSV_COLUMNS = (
@@ -106,21 +106,9 @@ def load_benchmark_suite(document, base_dir: str | os.PathLike = ".") -> Benchma
 def run_benchmark(suite: BenchmarkSuite) -> list[dict]:
     rows = []
     for entry in suite.entries:
-        p = entry.params
         result = plan(
-            PlannerRequest(
-                env=entry.environment,
-                start_left=entry.start_left,
-                start_right=entry.start_right,
-                goal_midstance=entry.goal,
-                goal_tolerance=p.goal_tolerance,
-                goal_tolerance_yaw=p.goal_tolerance_yaw,
-                timeout=entry.timeout,
-                lattice=p.lattice,
-                expansion=p.expansion,
-                checker=p.checker,
-                cost=p.cost,
-                foot=p.foot,
+            entry.params.planner_request(
+                entry.environment, entry.start_left, entry.start_right, entry.goal, entry.timeout
             )
         )
         stats = result.stats

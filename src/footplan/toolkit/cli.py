@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
 
 from ..geometry import GeometryError, Pose2
 from ..params import ParamsBundle, ParamsError, load_params
-from ..planner import PlannerRequest, PlanStatus, plan
+from ..planner import PlanStatus, feet_from_midstance, plan
 from ..wiggle import wiggle_plan
 from ..world import WorldLoadError, load_environment, environment_to_json
 from .benchmark import BenchmarkError, benchmark_csv, load_benchmark_suite, run_benchmark
@@ -94,14 +93,6 @@ def _load_params_arg(path: str | None) -> ParamsBundle:
         raise CliInputError(f"params file {path}: {exc}") from None
 
 
-def _feet_from_midstance(mid: Pose2, stance_width: float) -> tuple[Pose2, Pose2]:
-    half = stance_width / 2.0
-    sin_y, cos_y = math.sin(mid.yaw), math.cos(mid.yaw)
-    left = Pose2(mid.x - sin_y * half, mid.y + cos_y * half, mid.yaw)
-    right = Pose2(mid.x + sin_y * half, mid.y - cos_y * half, mid.yaw)
-    return left, right
-
-
 def _plan_document(result, steps) -> dict:
     stats = result.stats
     duration = 0.0 if _stable_timing() else stats.duration_s
@@ -140,23 +131,8 @@ def _cmd_plan(args) -> int:
     params = _load_params_arg(args.params)
     start = _parse_pose(args.start, "--start")
     goal = _parse_pose(args.goal, "--goal")
-    start_left, start_right = _feet_from_midstance(start, params.cost.nominal_stance_width)
-
-    request = PlannerRequest(
-        env=env,
-        start_left=start_left,
-        start_right=start_right,
-        goal_midstance=goal,
-        goal_tolerance=params.goal_tolerance,
-        goal_tolerance_yaw=params.goal_tolerance_yaw,
-        timeout=args.timeout,
-        lattice=params.lattice,
-        expansion=params.expansion,
-        checker=params.checker,
-        cost=params.cost,
-        foot=params.foot,
-    )
-    result = plan(request)
+    start_left, start_right = feet_from_midstance(start, params.cost.nominal_stance_width)
+    result = plan(params.planner_request(env, start_left, start_right, goal, args.timeout))
     log.info(
         "plan status=%s steps=%d expanded=%d",
         result.status.value,

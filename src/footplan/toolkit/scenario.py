@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from ..geometry import GeometryError, Pose2
 from ..params import ParamsBundle, ParamsError, load_params
-from ..planner import PlannerRequest, PlanStatus, plan
+from ..planner import PlanStatus, plan
 from ..world import Environment, PlanarRegion, WorldLoadError, load_environment
 
 
@@ -125,24 +125,6 @@ def _apply_events(env: Environment, events, now: float, cursor: int):
     return env, applied, cursor
 
 
-def _request(script: ScenarioScript, env, left: Pose2, right: Pose2) -> PlannerRequest:
-    p = script.params
-    return PlannerRequest(
-        env=env,
-        start_left=left,
-        start_right=right,
-        goal_midstance=script.goal,
-        goal_tolerance=p.goal_tolerance,
-        goal_tolerance_yaw=p.goal_tolerance_yaw,
-        timeout=script.timeout,
-        lattice=p.lattice,
-        expansion=p.expansion,
-        checker=p.checker,
-        cost=p.cost,
-        foot=p.foot,
-    )
-
-
 def run_anytime_scenario(script: ScenarioScript) -> dict:
     """Run the scripted timeline and return a JSON-ready trace.
 
@@ -158,7 +140,7 @@ def run_anytime_scenario(script: ScenarioScript) -> dict:
     while tick < script.max_ticks and not arrived:
         now = tick * script.replan_period
         env, applied, cursor = _apply_events(env, script.events, now, cursor)
-        result = plan(_request(script, env, left, right))
+        result = plan(script.params.planner_request(env, left, right, script.goal, script.timeout))
         arrived = result.status is PlanStatus.FOUND_SOLUTION and not result.steps
         advanced = None
         if result.steps:

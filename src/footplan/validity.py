@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -106,15 +105,6 @@ def check_area(snap: SnapResult, params: CheckerParams) -> RejectionReason | Non
     return None
 
 
-def _planar_pose(snap: SnapResult) -> Pose2:
-    return snap.planar_pose
-
-
-@lru_cache(maxsize=64)
-def _circumradius(polygon: ConvexPolygon2) -> float:
-    return max(math.hypot(x, y) for x, y in polygon.vertices)
-
-
 def check_step_geometry(
     parent_snap: SnapResult,
     child_snap: SnapResult,
@@ -122,11 +112,11 @@ def check_step_geometry(
     params: CheckerParams,
     foot: FootPolygon,
 ) -> RejectionReason | None:
-    parent = _planar_pose(parent_snap)
-    child = _planar_pose(child_snap)
+    parent = parent_snap.planar_pose
+    child = child_snap.planar_pose
 
     # Bounding circles screen out the far-apart majority before the exact test.
-    reach_limit = _circumradius(params.stance_clearance) + _circumradius(foot.sole)
+    reach_limit = params.stance_clearance.circumradius + foot.circumradius
     if math.hypot(child.x - parent.x, child.y - parent.y) <= reach_limit:
         child_outline = transform_points(foot.sole.vertices, child)
         clearance = transform_points(params.stance_clearance.vertices, parent)
@@ -299,7 +289,7 @@ def check_body_box(
     ]
     if not near:
         return None
-    mid = midstance_pose(_planar_pose(parent_snap), _planar_pose(child_snap))
+    mid = midstance_pose(parent_snap.planar_pose, child_snap.planar_pose)
     cos_y, sin_y = math.cos(mid.yaw), math.sin(mid.yaw)
     half_d = params.body_box_depth / 2.0
     half_w = params.body_box_width / 2.0

@@ -2,17 +2,19 @@
 
 A three-variable QP (x shift, y shift, small rotation) pushes every sole
 vertex at least an inset distance inside the support region's convex piece
-while moving as little as possible. Infeasible insets retry with the distance
-halved down to zero; a still-infeasible foothold is left where it was.
+while moving as little as possible. A dual active-set solver answers it with
+a certified KKT point or None. When the answer is None, the inset is halved
+and the QP tried again, down to zero. A foothold that is still unsolved is
+left where it was.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .constants import QP_FEAS_TOL
 from .geometry import (
@@ -88,94 +90,93 @@ def build_wiggle_qp(
     )
 
 
-def _stationary_point(weights, rows_active, q):
-    """Solve the equality-constrained KKT system at the current active set."""
-    k = len(rows_active)
-    size = 3 + k
-    kkt = np.zeros((size, size))
-    kkt[:3, :3] = 2.0 * weights
-    if k:
-        g = np.vstack(rows_active)
-        kkt[:3, 3:] = g.T
-        kkt[3:, :3] = g
-    target = np.zeros(size)
-    target[:3] = -2.0 * weights @ q
-    try:
-        sol = np.linalg.solve(kkt, target)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(kkt, target, rcond=None)[0]
-    return sol[:3], sol[3:]
+# Guard only: each step activates the most violated row or drops an active
+# one, and no solve of the bench corpus or of random QPs has needed over 7.
+_MAX_STEPS = 50
+
+
+def _all_rows(qp: WiggleQP) -> tuple[np.ndarray, np.ndarray]:
+    """The containment rows and the box as one system rows @ q <= rhs."""
+    box = np.vstack([np.eye(3), -np.eye(3)])
+    return np.vstack([qp.rows, box]), np.concatenate([qp.rhs, qp.upper, -qp.lower])
 
 
 def solve_qp3(qp: WiggleQP) -> np.ndarray | None:
-    """Minimize q^T W q subject to rows*q <= rhs and the box bounds.
+    """Minimize q^T W q subject to rows @ q <= rhs and the box bounds.
 
-    Primal active-set iteration started from a phase-1 feasible point; returns
-    None when the constraints admit no point (within tolerance).
+    Goldfarb-Idnani dual active-set method. With y = sqrt(W) q the objective
+    is |y|^2, so the solve starts at the unconstrained minimum y = 0. Each
+    step takes the most violated row p and moves along z, the part of -a_p
+    orthogonal to the active rows, while the active multipliers shift by
+    -r per unit step; an active row whose multiplier reaches zero is dropped
+    first. When neither move exists, row p cannot hold together with the
+    active rows and the QP is infeasible.
+
+    The returned q is a certified KKT point: every row holds within
+    QP_FEAS_TOL and -2 W q is a non-negative combination of the rows active
+    at q. None means the QP is infeasible, or the solve ran out of steps
+    before it was certified.
     """
-    box = np.vstack([np.eye(3), -np.eye(3)])
-    box_rhs = np.concatenate([qp.upper, -qp.lower])
-    g_all = np.vstack([qp.rows, box]) if len(qp.rows) else box
-    h_all = np.concatenate([qp.rhs, box_rhs]) if len(qp.rhs) else box_rhs
-
-    feas = linprog(
-        np.zeros(3),
-        A_ub=qp.rows if len(qp.rows) else None,
-        b_ub=qp.rhs if len(qp.rhs) else None,
-        bounds=list(zip(qp.lower, qp.upper)),
-        method="highs",
-    )
-    if not feas.success:
-        return None
-    q = np.asarray(feas.x, dtype=float)
-    violation = g_all @ q - h_all
-    if violation.max() > QP_FEAS_TOL * 100:
-        return None
-
+    rows, rhs = _all_rows(qp)
+    scale = 1.0 / np.sqrt(np.diag(qp.weights))
+    rows = rows * scale
+    y = np.zeros(3)
     active: list[int] = []
-    for _ in range(200):
-        step, lam = _stationary_point(qp.weights, [g_all[i] for i in active], q)
-        if float(np.linalg.norm(step)) <= 1e-12:
-            if len(lam) == 0 or float(lam.min()) >= -1e-11:
-                return q
-            worst = active[int(np.argmin(lam))]
-            active.remove(worst)
-            continue
-        alpha = 1.0
-        blocker = -1
-        for i in range(len(g_all)):
-            if i in active:
-                continue
-            advance = float(g_all[i] @ step)
-            if advance <= 1e-14:
-                continue
-            room = max(0.0, float(h_all[i] - g_all[i] @ q))
-            ratio = room / advance
-            if ratio < alpha - 1e-15:
-                alpha = ratio
-                blocker = i
-        q = q + alpha * step
-        if blocker >= 0 and alpha < 1.0:
-            active.append(blocker)
-    return q
+    u = np.zeros(0)  # multipliers of the active rows
+    p = -1  # the violated row being made active
+    for _ in range(_MAX_STEPS):
+        if p < 0:
+            violation = rows @ y - rhs
+            p = int(np.argmax(violation))
+            if violation[p] <= QP_FEAS_TOL:
+                return scale * y
+            u_p = 0.0
+        a = rows[p]
+        act = rows[active]
+        r = np.linalg.solve(act @ act.T, act @ a) if active else u  # u is empty too
+        z = act.T @ r - a
+        zz = float(z @ z)
+        full = (a @ y - rhs[p]) / zz if zz > 1e-24 * float(a @ a) else math.inf
+        partial, drop = math.inf, -1
+        for j in np.flatnonzero(r > 0):
+            if u[j] / r[j] < partial:
+                partial, drop = u[j] / r[j], j
+        t = min(full, partial)
+        if t == math.inf:
+            return None
+        if full < math.inf:
+            y = y + t * z
+        u = u - t * r
+        u_p += t
+        if full <= partial:
+            active.append(p)
+            u = np.append(u, u_p)
+            p = -1
+        else:
+            del active[drop]
+            u = np.delete(u, drop)
+    return None
 
 
 def kkt_residual(qp: WiggleQP, q: np.ndarray) -> float:
-    """Max of stationarity, complementarity, and feasibility residuals at q."""
-    box = np.vstack([np.eye(3), -np.eye(3)])
-    g_all = np.vstack([qp.rows, box]) if len(qp.rows) else box
-    h_all = np.concatenate([qp.rhs, qp.upper, -qp.lower])
+    """Max of the feasibility and stationarity residuals at q.
+
+    Stationarity is the distance from -2 W q to the cone of the rows active
+    at q. In three dimensions that distance is reached with non-negative
+    multipliers on at most three rows (Caratheodory), so every such subset
+    is fitted by least squares, its multipliers clipped at zero.
+    """
+    g_all, h_all = _all_rows(qp)
     slack = h_all - g_all @ q
     feasibility = max(0.0, float(-slack.min()))
-    active = [i for i in range(len(g_all)) if slack[i] <= 1e-7]
     gradient = 2.0 * qp.weights @ q
-    if active:
-        g_act = g_all[active]
-        lam, *_ = np.linalg.lstsq(g_act.T, -gradient, rcond=None)
-        lam = np.maximum(lam, 0.0)
-        stationarity = float(np.linalg.norm(gradient + g_act.T @ lam))
-    else:
-        stationarity = float(np.linalg.norm(gradient))
+    stationarity = float(np.linalg.norm(gradient))
+    active = np.flatnonzero(slack <= 1e-7)
+    for size in (1, 2, 3):
+        for subset in combinations(active, size):
+            g_sub = g_all[list(subset)]
+            lam = np.maximum(np.linalg.lstsq(g_sub.T, -gradient, rcond=None)[0], 0.0)
+            stationarity = min(stationarity, float(np.linalg.norm(gradient + g_sub.T @ lam)))
     return max(feasibility, stationarity)
 
 

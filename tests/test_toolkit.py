@@ -540,3 +540,14 @@ def test_cli_output_is_stable_across_hash_seeds(tmp_path):
         svgs.append(svg_path.read_bytes())
     assert outputs[0] == outputs[1]
     assert svgs[0] == svgs[1]
+
+
+def test_cli_import_does_not_load_scipy():
+    # the wiggle QP has its own solver; scipy's import alone costs more than
+    # the rest of the CLI start-up
+    probe = "import sys, footplan.toolkit.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, env=dict(os.environ), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "False"

@@ -2,10 +2,14 @@
 
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from footplan.constants import QP_FEAS_TOL, QP_KKT_TOL
 from footplan.geometry import ConvexPolygon2, Pose2, rectangle_polygon
 from footplan.lattice import Side
 from footplan.planner import PlanStep
@@ -150,6 +154,79 @@ def test_random_qps_reach_grid_scan_optimum():
         if len(feasible):
             grid_best = float(np.min(np.einsum("ij,jk,ik->i", feasible, qp.weights, feasible)))
             assert objective(qp, q) <= grid_best + 1e-9
+
+
+def feasible_vertices(qp):
+    """Every point where three rows (box included) meet and all rows hold.
+
+    The box bounds the feasible set, so it is empty iff this list is.
+    """
+    rows = np.vstack([qp.rows, np.eye(3), -np.eye(3)])
+    rhs = np.concatenate([qp.rhs, qp.upper, -qp.lower])
+    triples = np.array(list(combinations(range(len(rows)), 3)))
+    systems = rows[triples]
+    regular = np.abs(np.linalg.det(systems)) > 1e-12
+    points = np.linalg.solve(systems[regular], rhs[triples[regular]][..., None])[..., 0]
+    return points[np.all(points @ rows.T - rhs <= QP_FEAS_TOL, axis=1)]
+
+
+@st.composite
+def wiggle_qps(draw):
+    unit = st.floats(0.0, 1.0)
+    sides = draw(st.integers(3, 8))
+    gaps = np.cumsum([0.2 + draw(unit) for _ in range(sides)])
+    turn = draw(unit) * math.tau
+    radius = draw(st.floats(0.05, 0.5))
+    piece = ConvexPolygon2(
+        [(radius * math.cos(turn + math.tau * g / gaps[-1]),
+          radius * math.sin(turn + math.tau * g / gaps[-1])) for g in gaps]
+    )
+    yaw = draw(unit) * math.tau
+    center = (draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.3, 0.3)))
+    outline = rectangle_polygon(draw(st.floats(0.02, 0.25)), draw(st.floats(0.02, 0.12)))
+    sole = ConvexPolygon2(
+        [(center[0] + math.cos(yaw) * x - math.sin(yaw) * y,
+          center[1] + math.sin(yaw) * x + math.cos(yaw) * y) for x, y in outline.vertices]
+    )
+    params = WiggleParams(
+        inset_distance=draw(st.floats(0.0, 0.03)),
+        max_translation=draw(st.floats(0.005, 0.1)),
+        max_rotation=draw(st.floats(0.01, 0.3)),
+        weights=np.diag([draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0)), draw(st.floats(0.01, 1.0))]),
+    )
+    return build_wiggle_qp(sole, piece, params)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(wiggle_qps())
+def test_solve_qp3_matches_vertex_enumeration(qp):
+    vertices = feasible_vertices(qp)
+    q = solve_qp3(qp)
+    assert (q is None) == (len(vertices) == 0)
+    if q is not None:
+        assert kkt_residual(qp, q) <= QP_KKT_TOL
+        best = float(np.min(np.einsum("ij,jk,ik->i", vertices, qp.weights, vertices)))
+        assert objective(qp, q) <= best + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Certificate
+
+
+def test_kkt_residual_certifies_the_optimum_on_an_exact_fit_strip():
+    # sole width + 2 * inset = strip width: four dependent rows are active at
+    # the optimum, and one least-squares fit over all of them would give two
+    # negative multipliers and a residual near 1e-2
+    inset = 0.0105
+    sole = rectangle_polygon(0.22, 0.11, center=(0.1, 0.01))
+    strip = rectangle_polygon(1.0, 0.11 + 2 * inset)
+    qp = build_wiggle_qp(sole, strip, WiggleParams(inset_distance=inset))
+    q = solve_qp3(qp)
+    assert q is not None
+    np.testing.assert_allclose(q, [0.0, -0.01, 0.0], atol=1e-12)
+    assert kkt_residual(qp, q) <= 1e-8
+    # still feasible, but the slide along the strip buys nothing
+    assert kkt_residual(qp, q + np.array([0.001, 0.0, 0.0])) > 1e-8
 
 
 # ---------------------------------------------------------------------------
