@@ -58,10 +58,7 @@ def edge_cost(
     mid = midstance_pose(parent, child)
     d_mid = math.hypot(mid.x - nominal_mid[0], mid.y - nominal_mid[1])
     d_yaw = abs(wrap_angle(mid.yaw - parent.yaw))
-    dz = abs(
-        float(child_snap.foothold_pose.translation[2])
-        - float(parent_snap.foothold_pose.translation[2])
-    )
+    dz = abs(child_snap.z - parent_snap.z)
     return (
         params.w_distance * d_mid
         + params.w_height * dz

@@ -18,7 +18,6 @@ from .constants import (
     DUPLICATE_VERTEX_TOL,
     MIN_POLYGON_AREA,
     ROTATION_TOL,
-    SLIVER_AREA,
 )
 
 Point2 = tuple[float, float]
@@ -148,13 +147,6 @@ class HalfPlaneSet:
     normals: tuple[Point2, ...]
     offsets: tuple[float, ...]
 
-    def contains(self, point, slack: float = BOUNDARY_SLACK) -> bool:
-        x, y = point
-        for (nx, ny), off in zip(self.normals, self.offsets):
-            if nx * x + ny * y - off > slack:
-                return False
-        return True
-
     def margins(self, point) -> list[float]:
         """Signed distance inside each half-plane (positive = inside)."""
         x, y = point
@@ -176,18 +168,6 @@ def polygon_half_planes(polygon: ConvexPolygon2) -> HalfPlaneSet:
         normals.append((nx, ny))
         offsets.append(nx * ax + ny * ay)
     return HalfPlaneSet(tuple(normals), tuple(offsets))
-
-
-def inset_half_planes(polygon: ConvexPolygon2, distance: float) -> HalfPlaneSet:
-    """Half-plane set of the polygon with every edge pulled inward by distance.
-
-    The result may be empty as a set; callers test membership rather than
-    rebuilding a polygon.
-    """
-    if distance < 0:
-        raise GeometryError(f"inset distance must be >= 0, got {distance}")
-    hp = polygon_half_planes(polygon)
-    return HalfPlaneSet(hp.normals, tuple(o - distance for o in hp.offsets))
 
 
 def point_in_polygon(point, polygon: ConvexPolygon2, slack: float = BOUNDARY_SLACK) -> bool:
@@ -249,14 +229,6 @@ def clip_area(vertices) -> float:
     return max(0.0, _signed_area(verts))
 
 
-def clip_convex(a: ConvexPolygon2, b: ConvexPolygon2) -> ConvexPolygon2 | None:
-    """Intersection of two convex polygons; None when empty or a sliver."""
-    raw = clip_vertices(a.vertices, b.vertices)
-    if clip_area(raw) <= SLIVER_AREA:
-        return None
-    return ConvexPolygon2(raw)
-
-
 @dataclass(frozen=True)
 class Pose2:
     """Planar pose; yaw normalized to (-pi, pi]."""
@@ -267,14 +239,6 @@ class Pose2:
 
     def __post_init__(self):
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))
-
-
-def transform_polygon(polygon: ConvexPolygon2, pose: Pose2) -> ConvexPolygon2:
-    """Rigidly map a polygon by a planar pose (rotate by yaw, then translate)."""
-    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
-    return ConvexPolygon2(
-        [(pose.x + c * x - s * y, pose.y + s * x + c * y) for x, y in polygon.vertices]
-    )
 
 
 def transform_points(points, pose: Pose2) -> list[Point2]:
@@ -441,24 +405,10 @@ class RigidTransform3:
     def identity(cls) -> "RigidTransform3":
         return cls(np.eye(3), np.zeros(3))
 
-    @classmethod
-    def trusted(cls, rotation: np.ndarray, translation: np.ndarray) -> "RigidTransform3":
-        """Skip validation for rotations built from known-orthonormal factors."""
-        obj = object.__new__(cls)
-        rotation.setflags(write=False)
-        translation.setflags(write=False)
-        object.__setattr__(obj, "rotation", rotation)
-        object.__setattr__(obj, "translation", translation)
-        return obj
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Map (N,3) or (3,) points into the parent frame."""
         pts = np.asarray(points, dtype=float)
         return pts @ self.rotation.T + self.translation
-
-    def inverse(self) -> "RigidTransform3":
-        rt = self.rotation.T
-        return RigidTransform3(rt, -(rt @ self.translation))
 
 
 def rotation_z(yaw: float) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,50 +61,17 @@ class ParamsBundle:
         )
 
 
-_LATTICE_KEYS = {"xy_resolution", "yaw_resolution"}
-_EXPANSION_KEYS = {
-    "expansion_min_length",
-    "expansion_max_length",
-    "expansion_min_width",
-    "expansion_max_width",
-    "expansion_min_yaw_delta",
-    "expansion_max_yaw_delta",
-    "expansion_max_reach",
-}
-_CHECKER_KEYS = {
-    "max_incline",
-    "min_area_fraction",
-    "max_forward",
-    "max_backward",
-    "max_inward",
-    "max_outward",
-    "max_reach",
-    "max_step_up",
-    "max_step_down",
-    "tall_step_height",
-    "tall_step_max_length",
-    "tall_step_max_width",
-    "cliff_height",
-    "cliff_clearance",
-    "step_over_height",
-    "body_box_width",
-    "body_box_depth",
-    "body_box_bottom",
-    "body_box_top",
-}
-_COST_KEYS = {
-    "w_distance",
-    "w_height",
-    "w_yaw",
-    "w_area",
-    "w_roll_pitch",
-    "cost_per_step",
-    "inflation",
-    "final_turn_radius",
-    "max_step_length_for_heuristic",
-    "nominal_stance_width",
-}
-_WIGGLE_KEYS = {"wiggle_inset_distance", "wiggle_max_translation", "wiggle_max_rotation"}
+def _keys(cls, prefix: str = "", loaded_apart: tuple[str, ...] = ()) -> set[str]:
+    """The document keys of a params class: its field names, prefixed, less
+    the fields that are not plain numbers and load on their own."""
+    return {prefix + f.name for f in fields(cls) if f.name not in loaded_apart}
+
+
+_LATTICE_KEYS = _keys(LatticeParams)
+_EXPANSION_KEYS = _keys(ExpansionParams, "expansion_")
+_CHECKER_KEYS = _keys(CheckerParams, loaded_apart=("stance_clearance",))
+_COST_KEYS = _keys(CostParams)
+_WIGGLE_KEYS = _keys(WiggleParams, "wiggle_", loaded_apart=("weights",))
 _POLYGON_KEYS = {"stance_clearance", "foot_sole"}
 _SCALAR_EXTRAS = {"goal_tolerance", "goal_tolerance_yaw"}
 _LIST_EXTRAS = {"wiggle_weights"}
@@ -199,27 +166,22 @@ def load_params(document) -> ParamsBundle:
 
 
 def params_to_dict(bundle: ParamsBundle) -> dict:
-    checker = bundle.checker
-    cost = bundle.cost
-    expansion = bundle.expansion
     doc = {
-        "xy_resolution": bundle.lattice.xy_resolution,
-        "yaw_resolution": bundle.lattice.yaw_resolution,
         "goal_tolerance": bundle.goal_tolerance,
         "goal_tolerance_yaw": bundle.goal_tolerance_yaw,
         "foot_sole": [[x, y] for x, y in bundle.foot.sole.vertices],
-        "stance_clearance": [[x, y] for x, y in checker.stance_clearance.vertices],
-        "wiggle_inset_distance": bundle.wiggle.inset_distance,
-        "wiggle_max_translation": bundle.wiggle.max_translation,
-        "wiggle_max_rotation": bundle.wiggle.max_rotation,
+        "stance_clearance": [[x, y] for x, y in bundle.checker.stance_clearance.vertices],
         "wiggle_weights": [float(v) for v in np.diag(bundle.wiggle.weights)],
     }
-    for key in _EXPANSION_KEYS:
-        doc[key] = getattr(expansion, key[len("expansion_"):])
-    for key in _CHECKER_KEYS:
-        doc[key] = getattr(checker, key)
-    for key in _COST_KEYS:
-        doc[key] = getattr(cost, key)
+    for group, keys, prefix in (
+        (bundle.lattice, _LATTICE_KEYS, ""),
+        (bundle.expansion, _EXPANSION_KEYS, "expansion_"),
+        (bundle.checker, _CHECKER_KEYS, ""),
+        (bundle.cost, _COST_KEYS, ""),
+        (bundle.wiggle, _WIGGLE_KEYS, "wiggle_"),
+    ):
+        for key in keys:
+            doc[key] = getattr(group, key[len(prefix):])
     return doc
 
 

@@ -48,7 +48,7 @@ class PlannerRequest:
     foot: FootPolygon = field(default_factory=default_foot)
 
     def __post_init__(self):
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # NaN too
             raise ValueError("timeout must be positive")
         if self.goal_tolerance <= 0 or self.goal_tolerance_yaw <= 0:
             raise ValueError("goal tolerances must be positive")

@@ -3,6 +3,10 @@
 The foot drops vertically onto each candidate region plane; the winner is the
 transform whose snapped sole attains the highest vertex. Yaw about world z is
 preserved; pitch and roll come from aligning the sole to the plane.
+
+A snapped foothold is a SnapResult of plain floats plus its sole in world xy.
+`crop_foothold` builds every SnapResult, for the search and for the wiggle,
+and is the one place a snapped sole is put in world coordinates.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .constants import SLIVER_AREA, SNAP_HEIGHT_TIE
 from .geometry import (
     ConvexPolygon2,
     GeometryError,
+    Point2,
     Pose2,
     RigidTransform3,
     clip_area,
@@ -26,6 +31,8 @@ from .geometry import (
     point_in_polygon,
     polygons_overlap,
     rotation_z,
+    transform_points,
+    yaw_of_rotation,
 )
 from .lattice import FootstepNode, LatticeParams, node_to_pose
 from .world import Environment, PlanarRegion, plane_height_at, regions_overlapping_disc
@@ -50,28 +57,45 @@ def default_foot() -> FootPolygon:
     return FootPolygon(rectangle_polygon(0.22, 0.11))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SnapResult:
-    foothold_pose: RigidTransform3
+    """A foothold: the sole center (x, y, z) on region `region_id`, its yaw
+    about world z and the plane's roll and pitch.
+
+    `rotation` is the shared, read-only rotation of `align_to_normal`'s cache.
+    `sole` is the snapped sole in world xy and `piece_index` the region piece
+    it overlaps most (None when it overlaps none).
+    """
+
+    x: float
+    y: float
+    z: float
+    yaw: float
+    surface_roll: float
+    surface_pitch: float
     region_id: int
     cropped_foothold: ConvexPolygon2 | None
     area_fraction: float
-    surface_roll: float
-    surface_pitch: float
+    rotation: np.ndarray
+    sole: tuple[Point2, ...]
+    piece_index: int | None
 
     @property
-    def center(self) -> np.ndarray:
-        return self.foothold_pose.translation
-
-    @cached_property
-    def yaw(self) -> float:
-        r = self.foothold_pose.rotation
-        return math.atan2(r[1, 0], r[0, 0])
+    def center(self) -> tuple[float, float, float]:
+        return self.x, self.y, self.z
 
     @cached_property
     def planar_pose(self) -> Pose2:
-        t = self.foothold_pose.translation
-        return Pose2(float(t[0]), float(t[1]), self.yaw)
+        return Pose2(self.x, self.y, self.yaw)
+
+    @property
+    def foothold_pose(self) -> RigidTransform3:
+        """The foothold as a validated rigid transform, built on each call."""
+        return RigidTransform3(self.rotation, np.array(self.center))
+
+    def to_world(self, points) -> tuple[Point2, ...]:
+        """Foot-frame points placed in world xy, as the sole is."""
+        return _to_world(self.rotation.tolist(), self.x, self.y, points)
 
 
 class SnapFailureReason(enum.Enum):
@@ -101,7 +125,9 @@ def _align_cached(yaw: float, nx: float, ny: float, nz: float):
             [-sin_p, cos_p * sin_r, cos_p * cos_r],
         ]
     )
-    return rotation_z(yaw) @ tilt, roll, pitch
+    rotation = rotation_z(yaw) @ tilt
+    rotation.setflags(write=False)
+    return rotation, roll, pitch
 
 
 def align_to_normal(yaw: float, up_normal) -> tuple[np.ndarray, float, float]:
@@ -115,65 +141,65 @@ def align_to_normal(yaw: float, up_normal) -> tuple[np.ndarray, float, float]:
     )
 
 
-def _footprint_xy(pose: Pose2, foot: FootPolygon) -> list[tuple[float, float]]:
-    cos_y, sin_y = math.cos(pose.yaw), math.sin(pose.yaw)
-    return [
-        (pose.x + cos_y * u - sin_y * v, pose.y + sin_y * u + cos_y * v)
-        for u, v in foot.sole.vertices
-    ]
+def _to_world(rows, x: float, y: float, points) -> tuple[Point2, ...]:
+    """(x + l00 u + l01 v, y + l10 u + l11 v): points (u, v) of the foot frame
+    in world xy, with l the plan-view block of the rotation `rows`."""
+    (l00, l01, _), (l10, l11, _), _ = rows
+    return tuple((x + l00 * u + l01 * v, y + l10 * u + l11 * v) for u, v in points)
 
 
 def crop_foothold(
-    foothold_pose: RigidTransform3, region: PlanarRegion, foot: FootPolygon
-) -> tuple[ConvexPolygon2 | None, float]:
-    """Cropped foothold (foot frame) and area fraction for a snapped pose.
+    region: PlanarRegion, x: float, y: float, yaw: float, foot: FootPolygon
+) -> SnapResult:
+    """The foot centered at (x, y) with heading yaw, on the region's plane and
+    cropped to its pieces.
 
     The intersection is computed in plan view; both the sole and the crop pick
     up the same plane-tilt area factor there, so the fraction transfers
     unchanged. A non-convex multi-piece intersection keeps every piece for the
     fraction but only the largest piece as the polygon.
     """
-    rot = foothold_pose.rotation
-    l00, l01 = float(rot[0, 0]), float(rot[0, 1])
-    l10, l11 = float(rot[1, 0]), float(rot[1, 1])
-    cx = float(foothold_pose.translation[0])
-    cy = float(foothold_pose.translation[1])
-    sole_xy = [
-        (cx + l00 * u + l01 * v, cy + l10 * u + l11 * v) for u, v in foot.sole.vertices
-    ]
+    z = plane_height_at(region, x, y)
+    rotation, roll, pitch = align_to_normal(yaw, region.up_normal)
+    rows = rotation.tolist()
+    sole = _to_world(rows, x, y, foot.sole.vertices)
+    (l00, l01, _), (l10, l11, _), _ = rows
     det = l00 * l11 - l01 * l10
-    if det <= 0.0:
-        return None, 0.0
 
-    best_piece: list | None = None
-    best_area = 0.0
-    total = 0.0
-    for piece in region.projected_pieces:
-        clipped = clip_vertices(sole_xy, piece)
-        area = clip_area(clipped)
-        total += area
-        if area > best_area:
-            best_area = area
-            best_piece = clipped
-
-    fraction = total / (foot.sole.area * det)
-    fraction = max(0.0, min(1.0, fraction))
-    if best_piece is None or best_area <= SLIVER_AREA:
-        return None, fraction
-
-    foot_frame = [
-        ((l11 * (px - cx) - l01 * (py - cy)) / det, (l00 * (py - cy) - l10 * (px - cx)) / det)
-        for px, py in best_piece
-    ]
-    try:
-        return ConvexPolygon2(foot_frame), fraction
-    except GeometryError:
-        return None, fraction
+    cropped = None
+    fraction = 0.0
+    best_index = None
+    if det > 0.0:
+        best_piece: list | None = None
+        best_area = 0.0
+        total = 0.0
+        for index, piece in enumerate(region.projected_pieces):
+            clipped = clip_vertices(sole, piece)
+            area = clip_area(clipped)
+            total += area
+            if area > best_area:
+                best_area = area
+                best_piece = clipped
+                best_index = index
+        fraction = max(0.0, min(1.0, total / (foot.sole.area * det)))
+        if best_piece is not None and best_area > SLIVER_AREA:
+            foot_frame = [
+                ((l11 * (px - x) - l01 * (py - y)) / det, (l00 * (py - y) - l10 * (px - x)) / det)
+                for px, py in best_piece
+            ]
+            try:
+                cropped = ConvexPolygon2(foot_frame)
+            except GeometryError:
+                pass
+    return SnapResult(
+        x, y, z, yaw_of_rotation(rotation), roll, pitch, region.region_id,
+        cropped, fraction, rotation, sole, best_index,
+    )
 
 
 def snap_pose(pose: Pose2, env: Environment, foot: FootPolygon) -> SnapResult | SnapFailure:
     """Snap a planar foot pose onto the highest intersecting region."""
-    footprint = _footprint_xy(pose, foot)
+    footprint = transform_points(foot.sole.vertices, pose)
     candidate_ids = regions_overlapping_disc(env, (pose.x, pose.y), foot.circumradius + 1e-9)
 
     touching = []
@@ -194,21 +220,17 @@ def snap_pose(pose: Pose2, env: Environment, foot: FootPolygon) -> SnapResult | 
     candidates = []
     for region in touching:
         center_z = plane_height_at(region, pose.x, pose.y)
-        rotation, roll, pitch = align_to_normal(pose.yaw, region.up_normal)
+        rotation, _, _ = align_to_normal(pose.yaw, region.up_normal)
         r20, r21 = float(rotation[2, 0]), float(rotation[2, 1])
         top_z = center_z + max(r20 * u + r21 * v for u, v in foot.sole.vertices)
-        candidates.append((top_z, region.region_id, region, rotation, roll, pitch, center_z))
+        candidates.append((top_z, region.region_id, region))
 
     best_z = max(c[0] for c in candidates)
     # Near-ties resolve to the lowest region id for determinism.
-    chosen = min(
+    _, _, region = min(
         (c for c in candidates if c[0] >= best_z - SNAP_HEIGHT_TIE), key=lambda c: c[1]
     )
-    _, region_id, region, rotation, roll, pitch, center_z = chosen
-
-    foothold_pose = RigidTransform3.trusted(rotation, np.array([pose.x, pose.y, center_z]))
-    cropped, fraction = crop_foothold(foothold_pose, region, foot)
-    return SnapResult(foothold_pose, region_id, cropped, fraction, roll, pitch)
+    return crop_foothold(region, pose.x, pose.y, pose.yaw, foot)
 
 
 def snap_node(

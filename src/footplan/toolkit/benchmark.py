@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,9 +48,22 @@ class BenchmarkSuite:
 def _pose_of(doc, key: str, label: str) -> Pose2:
     try:
         x, y, yaw = (float(v) for v in doc[key])
-        return Pose2(x, y, yaw)
     except (KeyError, TypeError, ValueError):
         raise BenchmarkError(f"{label}: field {key!r} must be [x, y, yaw]") from None
+    if not all(math.isfinite(v) for v in (x, y, yaw)):
+        raise BenchmarkError(f"{label}: field {key!r} must be finite")
+    return Pose2(x, y, yaw)
+
+
+def _timeout_of(entry: dict, label: str) -> float:
+    value = entry.get("timeout", 10.0)
+    try:
+        timeout = float(value)
+    except (TypeError, ValueError):
+        raise BenchmarkError(f"{label}: timeout must be a number, got {value!r}") from None
+    if not timeout > 0:
+        raise BenchmarkError(f"{label}: timeout must be above zero, got {value!r}")
+    return timeout
 
 
 def load_benchmark_suite(document, base_dir: str | os.PathLike = ".") -> BenchmarkSuite:
@@ -96,7 +110,7 @@ def load_benchmark_suite(document, base_dir: str | os.PathLike = ".") -> Benchma
                 start_left=_pose_of(entry, "start_left", label),
                 start_right=_pose_of(entry, "start_right", label),
                 goal=_pose_of(entry, "goal", label),
-                timeout=float(entry.get("timeout", 10.0)),
+                timeout=_timeout_of(entry, label),
                 params=params,
             )
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -67,7 +68,20 @@ def _parse_pose(text: str, label: str) -> Pose2:
         x, y, yaw = (float(p) for p in parts)
     except ValueError:
         raise CliInputError(f"{label} must contain three numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in (x, y, yaw)):
+        raise CliInputError(f"{label} must be finite, got {text!r}")
     return Pose2(x, y, yaw)
+
+
+def _timeout(text: str) -> float:
+    """--timeout: seconds, above zero (NaN is refused, inf means no limit)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be above zero, got {text!r}")
+    return value
 
 
 def _read_text(path: str, label: str) -> str:
@@ -101,8 +115,8 @@ def _plan_document(result, steps) -> dict:
         "steps": [
             {
                 "side": step.side.value,
-                "translation": [float(v) for v in step.snap.foothold_pose.translation],
-                "rotation": [float(v) for v in step.snap.foothold_pose.rotation.reshape(-1)],
+                "translation": [float(v) for v in step.snap.center],
+                "rotation": step.snap.rotation.ravel().tolist(),
                 "area_fraction": float(step.snap.area_fraction),
                 "foothold": (
                     [[float(x), float(y)] for x, y in step.snap.cropped_foothold.vertices]
@@ -153,7 +167,7 @@ def _cmd_plan(args) -> int:
     if args.svg:
         from .svg_render import render_svg
 
-        _write_text(args.svg, render_svg(env, steps, start=start, goal=goal, foot=params.foot))
+        _write_text(args.svg, render_svg(env, steps, start=start, goal=goal))
     return _STATUS_EXIT[result.status]
 
 
@@ -204,7 +218,7 @@ def build_parser() -> _Parser:
     p_plan.add_argument("--start", required=True, help='start midstance "x,y,yaw"')
     p_plan.add_argument("--goal", required=True, help='goal midstance "x,y,yaw"')
     p_plan.add_argument("--params", default=None, help="parameters JSON file")
-    p_plan.add_argument("--timeout", type=float, default=10.0, help="search budget seconds")
+    p_plan.add_argument("--timeout", type=_timeout, default=10.0, help="search budget seconds")
     p_plan.add_argument("--out", default=None, help="plan JSON output path (default stdout)")
     p_plan.add_argument("--svg", default=None, help="also render the plan to this SVG path")
     p_plan.add_argument("--no-wiggle", action="store_true", help="skip foothold adjustment")

@@ -9,6 +9,7 @@ trace entry per tick.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from ..geometry import GeometryError, Pose2
@@ -45,9 +46,18 @@ class ScenarioScript:
 def _pose_of(doc, key: str) -> Pose2:
     try:
         x, y, yaw = (float(v) for v in doc[key])
-        return Pose2(x, y, yaw)
     except (KeyError, TypeError, ValueError):
         raise ScenarioError(f"scenario field {key!r} must be [x, y, yaw]") from None
+    if not all(math.isfinite(v) for v in (x, y, yaw)):
+        raise ScenarioError(f"scenario field {key!r} must be finite")
+    return Pose2(x, y, yaw)
+
+
+def _number(value, what: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{what} must be a number, got {value!r}") from None
 
 
 def _region_of(doc: dict) -> PlanarRegion:
@@ -75,7 +85,7 @@ def load_scenario_script(document) -> ScenarioScript:
     for idx, entry in enumerate(document.get("events", [])):
         if not isinstance(entry, dict) or "time" not in entry or "action" not in entry:
             raise ScenarioError(f"event {idx}: needs time and action")
-        time = float(entry["time"])
+        time = _number(entry["time"], f"event {idx}: time")
         action = str(entry["action"])
         if action == "add-region":
             if "region" not in entry:
@@ -88,7 +98,8 @@ def load_scenario_script(document) -> ScenarioScript:
         elif action == "remove-region":
             if "id" not in entry:
                 raise ScenarioError(f"event {idx}: remove-region needs an id")
-            events.append(TimelineEvent(time, action, region_id=int(entry["id"])))
+            region_id = _number(entry["id"], f"event {idx}: id", int)
+            events.append(TimelineEvent(time, action, region_id=region_id))
         else:
             raise ScenarioError(f"event {idx}: unknown action {action!r}")
     events.sort(key=lambda e: e.time)
@@ -97,15 +108,18 @@ def load_scenario_script(document) -> ScenarioScript:
         params = load_params(document.get("params", {}))
     except ParamsError as exc:
         raise ScenarioError(f"params: {exc}") from None
+    timeout = _number(document.get("timeout", 1.0), "timeout")
+    if not timeout > 0:
+        raise ScenarioError(f"timeout must be above zero, got {timeout!r}")
     return ScenarioScript(
         environment=environment,
         start_left=start_left,
         start_right=start_right,
         goal=goal,
         events=tuple(events),
-        replan_period=float(document.get("replan_period", 1.0)),
-        timeout=float(document.get("timeout", 1.0)),
-        max_ticks=int(document.get("max_ticks", 120)),
+        replan_period=_number(document.get("replan_period", 1.0), "replan_period"),
+        timeout=timeout,
+        max_ticks=_number(document.get("max_ticks", 120), "max_ticks", int),
         params=params,
     )
 
@@ -145,8 +159,7 @@ def run_anytime_scenario(script: ScenarioScript) -> dict:
         advanced = None
         if result.steps:
             step = result.steps[0]
-            snap = step.snap
-            pose = Pose2(float(snap.center[0]), float(snap.center[1]), snap.yaw)
+            pose = step.snap.planar_pose
             if step.side.value == "left":
                 left = pose
             else:
@@ -154,7 +167,7 @@ def run_anytime_scenario(script: ScenarioScript) -> dict:
             advanced = {
                 "side": step.side.value,
                 "pose": [pose.x, pose.y, pose.yaw],
-                "area_fraction": snap.area_fraction,
+                "area_fraction": step.snap.area_fraction,
             }
         ticks.append(
             {

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 
 from ..geometry import Pose2
-from ..snapping import FootPolygon, default_foot
 
 _BG = "#f7fafc"
 _LOW_RGB = (214, 228, 214)
@@ -62,10 +61,8 @@ def _pose_marker(canvas: _Canvas, pose: Pose2, color: str, label: str) -> list[s
     ]
 
 
-def render_svg(env, steps=(), start: Pose2 | None = None, goal: Pose2 | None = None,
-               foot: FootPolygon | None = None) -> str:
+def render_svg(env, steps=(), start: Pose2 | None = None, goal: Pose2 | None = None) -> str:
     """Render regions (height-colored), footholds, and start/goal markers."""
-    foot = foot or default_foot()
     bounds = [math.inf, math.inf, -math.inf, -math.inf]
     for region in env.regions:
         x0, y0, x1, y1 = region.bounds_xy
@@ -107,29 +104,19 @@ def render_svg(env, steps=(), start: Pose2 | None = None, goal: Pose2 | None = N
 
     for index, step in enumerate(steps, start=1):
         snap = step.snap
-        rot = snap.foothold_pose.rotation
-        cx, cy = float(snap.center[0]), float(snap.center[1])
-        sole_px = []
-        for vx, vy in foot.sole.vertices:
-            wx = cx + rot[0, 0] * vx + rot[0, 1] * vy
-            wy = cy + rot[1, 0] * vx + rot[1, 1] * vy
-            sole_px.append(canvas.to_px(wx, wy))
+        sole_px = [canvas.to_px(x, y) for x, y in snap.sole]
         fill = _SIDE_FILL[step.side.value]
         parts.append(
             f'<polygon points="{_points(sole_px)}" fill="{fill}" fill-opacity="0.55" '
             f'stroke="{fill}" stroke-width="1"/>'
         )
         if snap.cropped_foothold is not None:
-            crop_px = []
-            for vx, vy in snap.cropped_foothold.vertices:
-                wx = cx + rot[0, 0] * vx + rot[0, 1] * vy
-                wy = cy + rot[1, 0] * vx + rot[1, 1] * vy
-                crop_px.append(canvas.to_px(wx, wy))
+            crop_px = [canvas.to_px(x, y) for x, y in snap.to_world(snap.cropped_foothold.vertices)]
             parts.append(
                 f'<polygon points="{_points(crop_px)}" fill="{_CROP_FILL}" '
                 f'fill-opacity="0.45" stroke="none"/>'
             )
-        tx, ty = canvas.to_px(cx, cy)
+        tx, ty = canvas.to_px(snap.x, snap.y)
         parts.append(
             f'<text x="{_fmt(tx)}" y="{_fmt(ty + 3.0)}" font-size="9" '
             f'font-family="sans-serif" text-anchor="middle" fill="#1a202c">{index}</text>'

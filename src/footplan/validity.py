@@ -137,7 +137,7 @@ def check_step_geometry(
     ):
         return RejectionReason.BAD_STANCE_GEOMETRY
 
-    dz = float(child_snap.foothold_pose.translation[2] - parent_snap.foothold_pose.translation[2])
+    dz = child_snap.z - parent_snap.z
     if dz > params.max_step_up + slack or -dz > params.max_step_down + slack:
         return RejectionReason.STEP_TOO_HIGH_OR_LOW
 
@@ -147,25 +147,18 @@ def check_step_geometry(
     return None
 
 
-def _projected_sole(snap: SnapResult, foot: FootPolygon) -> list[tuple[float, float]]:
-    linear = snap.foothold_pose.rotation[:2, :2]
-    center = snap.foothold_pose.translation[:2]
-    return [tuple(linear @ (u, v) + center) for u, v in foot.sole.vertices]
-
-
 def check_cliff_clearance(
-    child_snap: SnapResult, env: Environment, params: CheckerParams, foot: FootPolygon
+    child_snap: SnapResult, env: Environment, params: CheckerParams
 ) -> RejectionReason | None:
-    center = child_snap.foothold_pose.translation
-    foot_z = float(center[2])
-    outline = _projected_sole(child_snap, foot)
+    foot_z = child_snap.z
+    outline = child_snap.sole
     ox_lo = min(p[0] for p in outline)
     oy_lo = min(p[1] for p in outline)
     ox_hi = max(p[0] for p in outline)
     oy_hi = max(p[1] for p in outline)
     limit = params.cliff_clearance - BOUNDARY_SLACK
     for region in env.regions:
-        height = plane_height_at(region, float(center[0]), float(center[1]))
+        height = plane_height_at(region, child_snap.x, child_snap.y)
         if height is None or height < foot_z + params.cliff_height - BOUNDARY_SLACK:
             continue
         for piece, box in zip(region.projected_pieces, region.piece_bounds_xy):
@@ -218,11 +211,9 @@ def check_step_over(
     foot: FootPolygon,
 ) -> RejectionReason | None:
     """Swept-leg proxy: a horizontal rectangle between the feet must be clear."""
-    pa = parent_snap.foothold_pose.translation
-    pb = child_snap.foothold_pose.translation
-    z = max(float(pa[2]), float(pb[2])) + params.step_over_height
-    ax, ay = float(pa[0]), float(pa[1])
-    bx, by = float(pb[0]), float(pb[1])
+    z = max(parent_snap.z, child_snap.z) + params.step_over_height
+    ax, ay = parent_snap.x, parent_snap.y
+    bx, by = child_snap.x, child_snap.y
     length = math.hypot(bx - ax, by - ay)
     if length < 1e-12:
         direction = (1.0, 0.0)
@@ -276,10 +267,7 @@ def check_body_box(
     env: Environment,
     params: CheckerParams,
 ) -> RejectionReason | None:
-    mid_z = (
-        float(parent_snap.foothold_pose.translation[2])
-        + float(child_snap.foothold_pose.translation[2])
-    ) / 2.0
+    mid_z = (parent_snap.z + child_snap.z) / 2.0
     z_lo = mid_z + params.body_box_bottom
     z_hi = mid_z + params.body_box_top
     near = [
@@ -337,7 +325,7 @@ def validate_edge(
     if verdict is None:
         verdict = check_step_geometry(parent_snap, child_snap, stance_side, params, foot)
     if verdict is None:
-        verdict = check_cliff_clearance(child_snap, env, params, foot)
+        verdict = check_cliff_clearance(child_snap, env, params)
     if verdict is None:
         verdict = check_step_over(parent_snap, child_snap, env, params, foot)
     if verdict is None:

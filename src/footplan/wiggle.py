@@ -11,22 +11,17 @@ left where it was.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
 from .constants import QP_FEAS_TOL
-from .geometry import (
-    ConvexPolygon2,
-    RigidTransform3,
-    clip_area,
-    clip_vertices,
-    polygon_half_planes,
-)
+from .geometry import ConvexPolygon2, polygon_half_planes
 from .planner import PlanStep
-from .snapping import FootPolygon, SnapResult, align_to_normal, crop_foothold
-from .world import Environment, PlanarRegion, plane_height_at
+from .snapping import FootPolygon, crop_foothold
+from .world import Environment
 
 
 def _default_weights() -> np.ndarray:
@@ -59,35 +54,41 @@ class WiggleQP:
     upper: np.ndarray
 
 
-def build_wiggle_qp(
-    foothold: ConvexPolygon2, region_piece: ConvexPolygon2, params: WiggleParams
-) -> WiggleQP:
-    """Assemble vertex-containment rows for q = (v_x, v_y, theta).
+def _inset_qps(
+    foothold: ConvexPolygon2, region_piece: ConvexPolygon2, params: WiggleParams, insets
+) -> Iterator[WiggleQP]:
+    """The QP for q = (v_x, v_y, theta) at each inset distance d in turn.
 
     Vertex i at centroid offset r_i moves by J_i q with the small-angle
     Jacobian J_i = [[1, 0, -r_iy], [0, 1, r_ix]]; each region half-plane row
-    a^T x <= b becomes a^T J_i q <= b - d - a^T x_i.
+    a^T x <= b becomes a^T J_i q <= b - d - a^T x_i. Only the right-hand side
+    depends on d, so the rows are assembled once.
     """
     planes = polygon_half_planes(region_piece)
     normals = np.array(planes.normals)
-    offsets = np.array(planes.offsets)
     cx, cy = foothold.centroid()
 
     rows = []
-    rhs = []
+    a_dot_x = []
     for vx, vy in foothold.vertices:
         rx, ry = vx - cx, vy - cy
         jac = np.array([[1.0, 0.0, -ry], [0.0, 1.0, rx]])
         rows.append(normals @ jac)
-        rhs.append(offsets - params.inset_distance - normals @ (vx, vy))
+        a_dot_x.append(normals @ (vx, vy))
+    rows = np.vstack(rows)
+    a_dot_x = np.concatenate(a_dot_x)
+    offsets = np.tile(planes.offsets, len(foothold.vertices))
+    weights = np.asarray(params.weights, dtype=float)
     bound = np.array([params.max_translation, params.max_translation, params.max_rotation])
-    return WiggleQP(
-        np.asarray(params.weights, dtype=float),
-        np.vstack(rows),
-        np.concatenate(rhs),
-        -bound,
-        bound,
-    )
+    for d in insets:
+        yield WiggleQP(weights, rows, offsets - d - a_dot_x, -bound, bound)
+
+
+def build_wiggle_qp(
+    foothold: ConvexPolygon2, region_piece: ConvexPolygon2, params: WiggleParams
+) -> WiggleQP:
+    """Vertex-containment QP for q = (v_x, v_y, theta) at params.inset_distance."""
+    return next(_inset_qps(foothold, region_piece, params, (params.inset_distance,)))
 
 
 # Guard only: each step activates the most violated row or drops an active
@@ -114,8 +115,8 @@ def solve_qp3(qp: WiggleQP) -> np.ndarray | None:
 
     The returned q is a certified KKT point: every row holds within
     QP_FEAS_TOL and -2 W q is a non-negative combination of the rows active
-    at q. None means the QP is infeasible, or the solve ran out of steps
-    before it was certified.
+    at q. None means the QP is infeasible, or the solve ran out of steps or
+    made its active rows numerically dependent before it was certified.
     """
     rows, rhs = _all_rows(qp)
     scale = 1.0 / np.sqrt(np.diag(qp.weights))
@@ -133,7 +134,10 @@ def solve_qp3(qp: WiggleQP) -> np.ndarray | None:
             u_p = 0.0
         a = rows[p]
         act = rows[active]
-        r = np.linalg.solve(act @ act.T, act @ a) if active else u  # u is empty too
+        try:
+            r = np.linalg.solve(act @ act.T, act @ a) if active else u  # u is empty too
+        except np.linalg.LinAlgError:
+            return None
         z = act.T @ r - a
         zz = float(z @ z)
         full = (a @ y - rhs[p]) / zz if zz > 1e-24 * float(a @ a) else math.inf
@@ -192,71 +196,35 @@ class WiggleOutcome:
         return math.hypot(*self.translation)
 
 
-def _projected_sole_polygon(snap: SnapResult, foot: FootPolygon) -> ConvexPolygon2:
-    linear = snap.foothold_pose.rotation[:2, :2]
-    center = snap.foothold_pose.translation[:2]
-    return ConvexPolygon2(
-        [tuple(linear @ (u, v) + center) for u, v in foot.sole.vertices]
-    )
-
-
-def _best_piece(region: PlanarRegion, sole: ConvexPolygon2) -> ConvexPolygon2 | None:
-    best = None
-    best_area = 0.0
-    for piece in region.projected_pieces:
-        area = clip_area(clip_vertices(sole.vertices, piece))
-        if area > best_area:
-            best_area = area
-            best = piece
-    if best is None:
-        return None
-    return ConvexPolygon2(best)
-
-
-def _resnap(
-    snap: SnapResult,
-    region: PlanarRegion,
-    foot: FootPolygon,
-    q: np.ndarray,
-    centroid: tuple[float, float],
-) -> SnapResult:
-    vx, vy, theta = float(q[0]), float(q[1]), float(q[2])
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    ox = float(snap.foothold_pose.translation[0]) - centroid[0]
-    oy = float(snap.foothold_pose.translation[1]) - centroid[1]
-    new_x = centroid[0] + cos_t * ox - sin_t * oy + vx
-    new_y = centroid[1] + sin_t * ox + cos_t * oy + vy
-    new_yaw = snap.yaw + theta
-    z = plane_height_at(region, new_x, new_y)
-    rotation, roll, pitch = align_to_normal(new_yaw, region.up_normal)
-    pose = RigidTransform3(rotation, np.array([new_x, new_y, z]))
-    cropped, fraction = crop_foothold(pose, region, foot)
-    return SnapResult(pose, region.region_id, cropped, fraction, roll, pitch)
-
-
 def wiggle_step(
     step: PlanStep, env: Environment, foot: FootPolygon, params: WiggleParams
 ) -> WiggleOutcome:
     """Shift one planned step inside its region; unchanged when impossible."""
     snap = step.snap
-    region = env.region(snap.region_id)
-    sole = _projected_sole_polygon(snap, foot)
-    piece = _best_piece(region, sole)
-    if piece is None:
+    if snap.piece_index is None:
         return WiggleOutcome(step, (0.0, 0.0), 0.0, None)
+    region = env.region(snap.region_id)
+    sole = ConvexPolygon2(snap.sole)
+    piece = ConvexPolygon2(region.projected_pieces[snap.piece_index])
 
     inset = params.inset_distance
     schedule = [inset / (2.0**k) for k in range(6)] + [0.0]
-    centroid = sole.centroid()
-    for d in schedule:
-        qp = build_wiggle_qp(sole, piece, replace(params, inset_distance=d))
+    cx, cy = sole.centroid()
+    for d, qp in zip(schedule, _inset_qps(sole, piece, params, schedule)):
         q = solve_qp3(qp)
         if q is None:
             continue
-        new_snap = _resnap(snap, region, foot, q, centroid)
-        return WiggleOutcome(
-            PlanStep(step.side, new_snap), (float(q[0]), float(q[1])), float(q[2]), d
+        vx, vy, theta = float(q[0]), float(q[1]), float(q[2])
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        ox, oy = snap.x - cx, snap.y - cy
+        new_snap = crop_foothold(
+            region,
+            cx + cos_t * ox - sin_t * oy + vx,
+            cy + sin_t * ox + cos_t * oy + vy,
+            snap.yaw + theta,
+            foot,
         )
+        return WiggleOutcome(PlanStep(step.side, new_snap), (vx, vy), theta, d)
     return WiggleOutcome(step, (0.0, 0.0), 0.0, None)
 
 

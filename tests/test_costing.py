@@ -3,11 +3,10 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from footplan.costing import CostParams, edge_cost, heuristic_cost, reference_yaw
-from footplan.geometry import Pose2, RigidTransform3, rotation_z
+from footplan.geometry import Pose2, rotation_z
 from footplan.lattice import Side
 from footplan.snapping import SnapResult
 
@@ -57,14 +56,19 @@ def oracle_edge_cost(parent, child, side, params):
 
 
 def fake_snap(x, y, yaw=0.0, z=0.0, fraction=1.0, roll=0.0, pitch=0.0):
-    pose = RigidTransform3(rotation_z(yaw), np.array([x, y, z]))
     return SnapResult(
-        foothold_pose=pose,
+        x=x,
+        y=y,
+        z=z,
+        yaw=yaw,
+        surface_roll=roll,
+        surface_pitch=pitch,
         region_id=0,
         cropped_foothold=None,
         area_fraction=fraction,
-        surface_roll=roll,
-        surface_pitch=pitch,
+        rotation=rotation_z(yaw),
+        sole=(),
+        piece_index=None,
     )
 
 

@@ -2,12 +2,16 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from footplan.lattice import LatticeParams
+from footplan.costing import CostParams
+from footplan.lattice import ExpansionParams, LatticeParams
 from footplan.params import ParamsBundle, ParamsError, load_params, params_to_dict, params_to_json
+from footplan.validity import CheckerParams
+from footplan.wiggle import WiggleParams
 
 
 def test_empty_document_gives_defaults():
@@ -67,6 +71,38 @@ def test_dict_round_trip_preserves_every_value():
 def test_unknown_keys_are_rejected_by_name():
     with pytest.raises(ParamsError, match="unknown parameter keys: banana"):
         load_params({"banana": 1.0})
+    # a field name without its group prefix is not a key
+    with pytest.raises(ParamsError, match="unknown parameter keys: max_length"):
+        load_params({"max_length": 0.3})
+    with pytest.raises(ParamsError, match="unknown parameter keys: wiggle_banana"):
+        load_params({"wiggle_banana": 1.0})
+
+
+def test_every_numeric_field_round_trips():
+    # (bundle attribute, class, key prefix, fields that are not plain numbers)
+    groups = (
+        ("lattice", LatticeParams, "", ()),
+        ("expansion", ExpansionParams, "expansion_", ()),
+        ("checker", CheckerParams, "", ("stance_clearance",)),
+        ("cost", CostParams, "", ()),
+        ("wiggle", WiggleParams, "wiggle_", ("weights",)),
+    )
+    defaults = ParamsBundle()
+    checked = 0
+    for attribute, cls, prefix, apart in groups:
+        for f in fields(cls):
+            if f.name in apart:
+                continue
+            key = prefix + f.name
+            default = getattr(getattr(defaults, attribute), f.name)
+            value = math.tau / 24.0 if f.name == "yaw_resolution" else default * 1.1 + 0.001
+            bundle = load_params({key: value})
+            assert getattr(getattr(bundle, attribute), f.name) == value, key
+            doc = params_to_dict(bundle)
+            assert doc[key] == value, key
+            assert params_to_dict(load_params(doc)) == doc, key
+            checked += 1
+    assert len(params_to_dict(defaults)) == checked + 5
 
 
 def test_malformed_documents():

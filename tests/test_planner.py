@@ -165,14 +165,15 @@ def test_identical_requests_plan_identically():
 
 def test_request_validation():
     env = Environment([flat_region(0, 1.0, 1.0)])
-    with pytest.raises(ValueError):
-        PlannerRequest(
-            env=env,
-            start_left=Pose2(0.0, 0.1, 0.0),
-            start_right=Pose2(0.0, -0.1, 0.0),
-            goal_midstance=Pose2(0.0, 0.0, 0.0),
-            timeout=0.0,
-        )
+    for timeout in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            PlannerRequest(
+                env=env,
+                start_left=Pose2(0.0, 0.1, 0.0),
+                start_right=Pose2(0.0, -0.1, 0.0),
+                goal_midstance=Pose2(0.0, 0.0, 0.0),
+                timeout=timeout,
+            )
     with pytest.raises(ValueError):
         PlannerRequest(
             env=env,

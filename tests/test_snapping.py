@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from footplan.geometry import (
     ConvexPolygon2,
@@ -15,18 +17,22 @@ from footplan.geometry import (
     rotation_z,
 )
 from footplan.lattice import FootstepNode, LatticeParams, Side
+from footplan.planner import PlanStep
 from footplan.snapping import (
     FootPolygon,
     SnapFailure,
     SnapFailureReason,
     SnapResult,
     align_to_normal,
+    crop_foothold,
     default_foot,
     snap_node,
     snap_pose,
 )
+from footplan.wiggle import WiggleParams, wiggle_step
 from footplan.world import Environment, PlanarRegion
 
+from test_acceptance import sole_vertices_world
 from test_world import flat_region, rotation_about_y
 
 
@@ -230,3 +236,57 @@ def test_foot_polygon_requires_origin_inside():
 
     with pytest.raises(GeometryError):
         FootPolygon(rectangle_polygon(0.2, 0.1, center=(0.3, 0.0)))
+
+
+# ---------------------------------------------------------------------------
+# The foothold record
+
+
+@st.composite
+def tilted_snaps(draw):
+    """A tilted region of one or two touching pieces, and a pose over it."""
+    angle = st.floats(-0.6, 0.6)
+    rotation = recompose(draw(st.floats(-math.pi, math.pi)), draw(angle), draw(angle))
+    center = (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)), draw(st.floats(-1.0, 1.0)))
+    width = draw(st.floats(0.08, 0.8))
+    left = draw(st.floats(0.1, 0.8))
+    pieces = [rectangle_polygon(left, width, center=(-left / 2.0, 0.0))]
+    if draw(st.booleans()):
+        right = draw(st.floats(0.1, 0.8))
+        pieces.append(rectangle_polygon(right, width, center=(right / 2.0, 0.0)))
+    region = PlanarRegion(0, RigidTransform3(rotation, np.array(center)), pieces)
+    offset = st.floats(-0.4, 0.4)
+    pose = Pose2(center[0] + draw(offset), center[1] + draw(offset), draw(st.floats(-math.pi, math.pi)))
+    return region, pose
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(tilted_snaps())
+def test_snap_result_is_one_consistent_foothold(case):
+    region, pose = case
+    env = Environment([region])
+    snap = snap_pose(pose, env, FOOT)
+    if isinstance(snap, SnapFailure):
+        return
+    # the stored sole is the sole placed by the snapped rigid transform
+    for placed, oracle in zip(snap.sole, sole_vertices_world(snap), strict=True):
+        assert placed == pytest.approx(oracle, abs=1e-12)
+    # the on-demand transform carries the plain floats and the rotation unchanged
+    transform = snap.foothold_pose
+    assert tuple(transform.translation) == snap.center
+    assert np.array_equal(transform.rotation, snap.rotation)
+    assert math.atan2(transform.rotation[1, 0], transform.rotation[0, 0]) == snap.yaw
+    assert snap.planar_pose == Pose2(snap.x, snap.y, snap.yaw)
+
+    outcome = wiggle_step(PlanStep(Side.LEFT, snap), env, FOOT, WiggleParams())
+    if outcome.inset_used is None:
+        assert outcome.step.snap is snap
+        return
+    moved = outcome.step.snap
+    fresh = crop_foothold(region, moved.x, moved.y, snap.yaw + outcome.rotation, FOOT)
+    for name in (
+        "x", "y", "z", "yaw", "surface_roll", "surface_pitch", "region_id",
+        "cropped_foothold", "area_fraction", "sole", "piece_index",
+    ):
+        assert getattr(moved, name) == getattr(fresh, name), name
+    assert np.array_equal(moved.rotation, fresh.rotation)

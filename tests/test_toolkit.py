@@ -186,6 +186,19 @@ def test_scenario_script_validation():
     with pytest.raises(ScenarioError, match="invalid JSON"):
         load_scenario_script("{oops")
 
+    for timeout in (0, -1.0, "abc", float("nan"), None):
+        with pytest.raises(ScenarioError, match="timeout"):
+            load_scenario_script(dict(good, timeout=timeout))
+    with pytest.raises(ScenarioError, match="max_ticks"):
+        load_scenario_script(dict(good, max_ticks="many"))
+    with pytest.raises(ScenarioError, match="time must be a number"):
+        load_scenario_script(
+            scenario_doc(env, 0.0, (0.5, 0.0, 0.0), [{"time": "soon", "action": "add-region"}])
+        )
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ScenarioError, match="start_left"):
+            load_scenario_script(dict(good, start_left=[bad, 0.1, 0.0]))
+
 
 def test_scenario_removing_a_missing_region_fails_at_runtime():
     env = Environment([flat_region(0, 2.0, 2.0)])
@@ -291,6 +304,13 @@ def test_benchmark_suite_validation():
         )
     with pytest.raises(BenchmarkError, match="invalid JSON"):
         load_benchmark_suite("{nope")
+
+    entry = suite_doc()["entries"][0]
+    for timeout in (0, -1.0, "abc", float("nan")):
+        with pytest.raises(BenchmarkError, match="timeout"):
+            load_benchmark_suite({"entries": [dict(entry, timeout=timeout)]})
+    with pytest.raises(BenchmarkError, match="goal"):
+        load_benchmark_suite({"entries": [dict(entry, goal=[float("inf"), 0.0, 0.0])]})
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +434,23 @@ def test_cli_plan_exit_codes(tmp_path, stable_env, capsys):
 
 def test_cli_input_errors_exit_4(tmp_path, stable_env, capsys):
     env_path = write_flat_env(tmp_path)
+    plan = ["plan", "--env", str(env_path)]
+    bad_scenario = tmp_path / "bad_scenario.json"
+    bad_scenario.write_text(
+        json.dumps(scenario_doc(Environment([flat_region(0, 1.0, 1.0)]), 0.0, (0.5, 0.0, 0.0),
+                                timeout=0))
+    )
+    bad_suite = tmp_path / "bad_suite.json"
+    bad_suite.write_text(json.dumps({"entries": [dict(suite_doc()["entries"][0], timeout="abc")]}))
     cases = [
+        plan + ["--start", "0,0,0", "--goal", "1,0,0", "--timeout", "0"],
+        plan + ["--start", "0,0,0", "--goal", "1,0,0", "--timeout", "-1"],
+        plan + ["--start", "0,0,0", "--goal", "1,0,0", "--timeout", "nan"],
+        plan + ["--start", "nan,0,0", "--goal", "1,0,0"],
+        plan + ["--start", "inf,0,0", "--goal", "1,0,0"],
+        plan + ["--start", "0,0,0", "--goal", "1,0,-inf"],
+        ["anytime", "--scenario", str(bad_scenario), "--out", str(tmp_path / "x.json")],
+        ["bench", "--suite", str(bad_suite), "--out", str(tmp_path / "x.csv")],
         [],
         ["warp"],
         ["plan", "--start", "0,0,0", "--goal", "1,0,0"],

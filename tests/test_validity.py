@@ -79,12 +79,18 @@ def test_incline_boundary():
 def test_incline_combines_roll_and_pitch():
     # 30 deg of pitch and 30 deg of roll together exceed a 40 deg budget
     combined = SnapResult(
-        foothold_pose=RigidTransform3.identity(),
+        x=0.0,
+        y=0.0,
+        z=0.0,
+        yaw=0.0,
+        surface_roll=math.radians(30.0),
+        surface_pitch=math.radians(30.0),
         region_id=0,
         cropped_foothold=None,
         area_fraction=1.0,
-        surface_roll=math.radians(30.0),
-        surface_pitch=math.radians(30.0),
+        rotation=np.eye(3),
+        sole=(),
+        piece_index=None,
     )
     assert check_incline(combined, PARAMS) is RejectionReason.TOO_STEEP
 

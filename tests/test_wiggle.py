@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from footplan.constants import QP_FEAS_TOL, QP_KKT_TOL
-from footplan.geometry import ConvexPolygon2, Pose2, rectangle_polygon
+from footplan.geometry import ConvexPolygon2, Pose2, RigidTransform3, rectangle_polygon
 from footplan.lattice import Side
 from footplan.planner import PlanStep
 from footplan.snapping import SnapResult, default_foot, snap_pose
@@ -22,7 +22,7 @@ from footplan.wiggle import (
     wiggle_plan,
     wiggle_step,
 )
-from footplan.world import Environment
+from footplan.world import Environment, PlanarRegion
 
 from test_geometry import min_inside_distance, random_convex_polygon
 from test_world import flat_region
@@ -287,6 +287,24 @@ def test_sole_wider_than_the_beam_is_left_alone():
     assert outcome.inset_used is None
     assert outcome.step is step
     assert outcome.translation == (0.0, 0.0)
+
+
+def test_nearly_opposed_rows_leave_the_step_alone():
+    # A sole half off a slightly tilted piece needs a 0.13 shift against a
+    # 0.02 cap. Its containment rows are nearly opposed, the dual steps grow
+    # until the active rows are numerically dependent, and the solve must
+    # then answer None rather than raise.
+    rotation = np.array([
+        [0.99999237061517, 0.0004870094387547913, 0.003875762281023836],
+        [0.0, 0.992197667229329, -0.12467473338522769],
+        [-0.0039062400659001166, 0.12467378219370812, 0.9921900973714983],
+    ])
+    piece = ConvexPolygon2([(0.0, -0.25), (0.0, 0.25), (-0.125, 0.25), (-0.125, -0.25)])
+    env = Environment([PlanarRegion(0, RigidTransform3(rotation, np.zeros(3)), [piece])])
+    step = snapped_step(0.0, 0.0, 0.0, env)
+    outcome = wiggle_step(step, env, FOOT, WiggleParams())
+    assert outcome.inset_used is None
+    assert outcome.step is step
 
 
 def test_wiggle_rotates_with_the_scene():
