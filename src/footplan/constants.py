@@ -25,6 +25,7 @@ EXPANSION_BOUND_SLACK = 1e-9
 
 # Search / costing
 COST_EPS = 1e-12
+REACH_SLACK = 1e-6          # rounding margin on a foothold center's distance to its region hull
 
 # Wiggle QP
 QP_FEAS_TOL = 1e-9          # infeasibility detected within this

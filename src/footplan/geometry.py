@@ -147,11 +147,6 @@ class HalfPlaneSet:
     normals: tuple[Point2, ...]
     offsets: tuple[float, ...]
 
-    def margins(self, point) -> list[float]:
-        """Signed distance inside each half-plane (positive = inside)."""
-        x, y = point
-        return [off - (nx * x + ny * y) for (nx, ny), off in zip(self.normals, self.offsets)]
-
 
 def polygon_half_planes(polygon: ConvexPolygon2) -> HalfPlaneSet:
     """Edge half-planes of a CCW convex polygon, outward unit normals."""
@@ -318,13 +313,41 @@ def _segments_intersect(a0, a1, b0, b1) -> bool:
     return False
 
 
+def convex_hull(points) -> tuple[Point2, ...]:
+    """Counter-clockwise convex hull (Andrew's monotone chain).
+
+    Collinear and repeated points are dropped, so collinear input gives two
+    points and a single distinct point gives one.
+    """
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return tuple(pts)
+
+    def half(seq):
+        chain: list[Point2] = []
+        for p in seq:
+            while len(chain) >= 2 and _orient(chain[-2], chain[-1], p) <= 0.0:
+                chain.pop()
+            chain.append(p)
+        return chain[:-1]
+
+    return tuple(half(pts) + half(reversed(pts)))
+
+
 def convex_sets_distance(verts_a, verts_b) -> float:
     """Distance between two convex vertex sets (0 when they overlap).
 
     Either argument may be degenerate (collinear points); the test walks the
-    closed vertex chains, so segments cover every boundary.
+    closed vertex chains, so segments cover every boundary, and a degenerate
+    set inside the other is caught by testing one of its points.
     """
-    if len(verts_a) >= 3 and len(verts_b) >= 3 and polygons_overlap(verts_a, verts_b, slack=0.0):
+    if len(verts_a) >= 3 and len(verts_b) >= 3:
+        if polygons_overlap(verts_a, verts_b, slack=0.0):
+            return 0.0
+    elif (
+        point_to_convex_distance(verts_a[0], verts_b) == 0.0
+        or point_to_convex_distance(verts_b[0], verts_a) == 0.0
+    ):
         return 0.0
     best = math.inf
     na, nb = len(verts_a), len(verts_b)
@@ -400,10 +423,6 @@ class RigidTransform3:
         tr.setflags(write=False)
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", tr)
-
-    @classmethod
-    def identity(cls) -> "RigidTransform3":
-        return cls(np.eye(3), np.zeros(3))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Map (N,3) or (3,) points into the parent frame."""

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import enum
 import heapq
+import logging
 import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .constants import BOUNDARY_SLACK, REACH_SLACK
 from .costing import CostParams, edge_cost, heuristic_cost
-from .geometry import Pose2, wrap_angle
+from .geometry import Point2, Pose2, convex_sets_distance, point_to_convex_distance, wrap_angle
 from .lattice import (
     ExpansionParams,
     FootstepNode,
@@ -22,7 +24,9 @@ from .lattice import (
 )
 from .snapping import FootPolygon, SnapFailure, SnapResult, default_foot, snap_pose
 from .validity import CheckerParams, midstance_pose, validate_edge
-from .world import Environment
+from .world import Environment, PlanarRegion
+
+log = logging.getLogger("footplan.planner")
 
 
 class PlanStatus(enum.Enum):
@@ -68,6 +72,7 @@ class SearchStats:
     duration_s: float = 0.0
     path_cost: float = 0.0
     path_distance_m: float = 0.0
+    no_path_reason: str | None = None  # set when the region check rules the request out
 
     @property
     def total_rejected(self) -> int:
@@ -101,6 +106,84 @@ def _within_goal(pose: Pose2, target: Pose2, request: PlannerRequest) -> bool:
     if math.hypot(pose.x - target.x, pose.y - target.y) > request.goal_tolerance + 1e-12:
         return False
     return abs(wrap_angle(pose.yaw - target.yaw)) <= request.goal_tolerance_yaw + 1e-12
+
+
+def _box_gap(a, b) -> float:
+    """Distance between two (x_lo, y_lo, x_hi, y_hi) boxes: a lower bound on
+    the distance between any sets inside them."""
+    return math.hypot(max(a[0] - b[2], b[0] - a[2], 0.0), max(a[1] - b[3], b[1] - a[3], 0.0))
+
+
+def _no_region_chain(
+    request: PlannerRequest, start_points: list[Point2], goal_points: list[Point2]
+) -> str | None:
+    """Why no path can exist, or None when a chain of regions may link a start
+    foot to the goal.
+
+    Every foothold the search accepts lies near its region's plan-view hull:
+    - With a centrally symmetric sole and min_area_fraction - BOUNDARY_SLACK
+      above 1/2, its center is inside the hull, up to rounding (`grow` =
+      REACH_SLACK). Suppose the center lies outside a half-plane that holds
+      the hull. Reflecting the sole through its center maps the part inside
+      that half-plane to a part outside it, so at most half the sole is
+      supported and the foothold fails `check_area`.
+    - Otherwise the snapped sole overlaps the region, so its center is within
+      the foot's circumradius of the hull (`grow`).
+    Every accepted edge also passes `check_step_geometry`'s max_reach. So a
+    path is a chain from a start foot (a lattice point, never area-checked)
+    through regions whose hulls lie within max_reach + BOUNDARY_SLACK +
+    2 grow of each other (one grow from a start point), ending on a region
+    within goal_tolerance + grow of a goal foot. Walls cannot be stood on
+    and are left out.
+    """
+    foot, checker = request.foot, request.checker
+    if foot.centrally_symmetric and checker.min_area_fraction - BOUNDARY_SLACK > 0.5:
+        grow = REACH_SLACK
+    else:
+        grow = foot.circumradius
+    goal_bound = request.goal_tolerance + grow
+    for sx, sy in start_points:
+        if any(math.hypot(sx - gx, sy - gy) <= goal_bound for gx, gy in goal_points):
+            return None
+    step = checker.max_reach + BOUNDARY_SLACK + grow
+
+    def bound(item) -> float:
+        return step + grow if isinstance(item, PlanarRegion) else step
+
+    def gap(item, region: PlanarRegion, cutoff: float = math.inf) -> float:
+        """Distance from a start point or a region to a region's hull, or a
+        lower bound on it above `cutoff`."""
+        box = item.bounds_xy if isinstance(item, PlanarRegion) else (*item, *item)
+        lower = _box_gap(box, region.bounds_xy)
+        if lower > cutoff:
+            return lower
+        if isinstance(item, PlanarRegion):
+            return convex_sets_distance(item.hull_xy, region.hull_xy)
+        return point_to_convex_distance(item, region.hull_xy)
+
+    def at_goal(region: PlanarRegion) -> bool:
+        return any(point_to_convex_distance(g, region.hull_xy) <= goal_bound for g in goal_points)
+
+    unreached = [region for region in request.env.regions if region.snappable]
+    reached = list(start_points)
+    stack = list(start_points)
+    while stack:
+        item = stack.pop()
+        if isinstance(item, PlanarRegion) and at_goal(item):
+            return None
+        limit = bound(item)
+        linked = [region for region in unreached if gap(item, region, limit) <= limit]
+        unreached = [region for region in unreached if region not in linked]
+        reached += linked
+        stack += linked
+
+    if not any(at_goal(region) for region in unreached):
+        return f"no standable region within {goal_bound:.2f} m of a goal foot"
+    nearest, limit = min(
+        ((gap(item, region), bound(item)) for item in reached for region in unreached),
+        key=lambda pair: pair[0] - pair[1],
+    )
+    return f"no region chain within reach: nearest gap {nearest:.2f} m > bound {limit:.2f} m"
 
 
 class _Search:
@@ -184,17 +267,6 @@ def plan(request: PlannerRequest) -> PlannerResult:
     search = _Search(request)
     stats = search.stats
 
-    start_nodes = (
-        pose_to_node(request.start_left, Side.LEFT, request.lattice),
-        pose_to_node(request.start_right, Side.RIGHT, request.lattice),
-    )
-    for node in start_nodes:
-        if isinstance(search.snap(node), SnapFailure):
-            stats.duration_s = time.monotonic() - t0
-            return PlannerResult(PlanStatus.INVALID_START, [], stats)
-    for node in start_nodes:
-        search.score(node, 0.0, None)
-
     def finish(status: PlanStatus, end: FootstepNode | None) -> PlannerResult:
         stats.duration_s = time.monotonic() - t0
         steps: list[PlanStep] = []
@@ -203,6 +275,22 @@ def plan(request: PlannerRequest) -> PlannerResult:
             stats.path_cost = search.g[end]
             stats.path_distance_m = search.path_distance(end)
         return PlannerResult(status, steps, stats, search.tracker_history)
+
+    start_nodes = (
+        pose_to_node(request.start_left, Side.LEFT, request.lattice),
+        pose_to_node(request.start_right, Side.RIGHT, request.lattice),
+    )
+    for node in start_nodes:
+        if isinstance(search.snap(node), SnapFailure):
+            return finish(PlanStatus.INVALID_START, None)
+    start_points = [(p.x, p.y) for p in (node_to_pose(n, request.lattice) for n in start_nodes)]
+    goal_points = [(p.x, p.y) for p in search.goal_feet.values()]
+    stats.no_path_reason = _no_region_chain(request, start_points, goal_points)
+    if stats.no_path_reason is not None:
+        log.info("no path: %s", stats.no_path_reason)
+        return finish(PlanStatus.NO_PATH_EXISTS, None)
+    for node in start_nodes:
+        search.score(node, 0.0, None)
 
     while search.frontier:
         _, _, _, node = heapq.heappop(search.frontier)

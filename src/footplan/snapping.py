@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .constants import SLIVER_AREA, SNAP_HEIGHT_TIE
+from .constants import DUPLICATE_VERTEX_TOL, SLIVER_AREA, SNAP_HEIGHT_TIE
 from .geometry import (
     ConvexPolygon2,
     GeometryError,
@@ -51,6 +51,14 @@ class FootPolygon:
     @property
     def circumradius(self) -> float:
         return self.sole.circumradius
+
+    @cached_property
+    def centrally_symmetric(self) -> bool:
+        """Whether reflecting the sole through the foot-frame origin maps it
+        onto itself (every vertex has its negation among the vertices)."""
+        verts = self.sole.vertices
+        tol = DUPLICATE_VERTEX_TOL
+        return all(any(abs(x + u) <= tol and abs(y + v) <= tol for u, v in verts) for x, y in verts)
 
 
 def default_foot() -> FootPolygon:

@@ -133,6 +133,7 @@ def _plan_document(result, steps) -> dict:
             "duration_s": duration,
             "path_cost": stats.path_cost,
             "path_distance_m": stats.path_distance_m,
+            "no_path_reason": stats.no_path_reason,
         },
     }
 

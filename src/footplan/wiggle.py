@@ -3,15 +3,15 @@
 A three-variable QP (x shift, y shift, small rotation) pushes every sole
 vertex at least an inset distance inside the support region's convex piece
 while moving as little as possible. A dual active-set solver answers it with
-a certified KKT point or None. When the answer is None, the inset is halved
-and the QP tried again, down to zero. A foothold that is still unsolved is
-left where it was.
+a certified KKT point or None. When the answer is None, the QP is tried at
+inset zero: a foothold that no inset fits is left where it was after two
+solves. Otherwise the inset is halved from the full one until a QP solves.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -55,9 +55,9 @@ class WiggleQP:
 
 
 def _inset_qps(
-    foothold: ConvexPolygon2, region_piece: ConvexPolygon2, params: WiggleParams, insets
-) -> Iterator[WiggleQP]:
-    """The QP for q = (v_x, v_y, theta) at each inset distance d in turn.
+    foothold: ConvexPolygon2, region_piece: ConvexPolygon2, params: WiggleParams
+) -> Callable[[float], WiggleQP]:
+    """The QP for q = (v_x, v_y, theta) as a function of the inset distance d.
 
     Vertex i at centroid offset r_i moves by J_i q with the small-angle
     Jacobian J_i = [[1, 0, -r_iy], [0, 1, r_ix]]; each region half-plane row
@@ -80,15 +80,14 @@ def _inset_qps(
     offsets = np.tile(planes.offsets, len(foothold.vertices))
     weights = np.asarray(params.weights, dtype=float)
     bound = np.array([params.max_translation, params.max_translation, params.max_rotation])
-    for d in insets:
-        yield WiggleQP(weights, rows, offsets - d - a_dot_x, -bound, bound)
+    return lambda d: WiggleQP(weights, rows, offsets - d - a_dot_x, -bound, bound)
 
 
 def build_wiggle_qp(
     foothold: ConvexPolygon2, region_piece: ConvexPolygon2, params: WiggleParams
 ) -> WiggleQP:
     """Vertex-containment QP for q = (v_x, v_y, theta) at params.inset_distance."""
-    return next(_inset_qps(foothold, region_piece, params, (params.inset_distance,)))
+    return _inset_qps(foothold, region_piece, params)(params.inset_distance)
 
 
 # Guard only: each step activates the most violated row or drops an active
@@ -207,25 +206,44 @@ def wiggle_step(
     sole = ConvexPolygon2(snap.sole)
     piece = ConvexPolygon2(region.projected_pieces[snap.piece_index])
 
-    inset = params.inset_distance
-    schedule = [inset / (2.0**k) for k in range(6)] + [0.0]
+    schedule = [params.inset_distance / (2.0**k) for k in range(6)] + [0.0]
+    d, q = _first_solved(_inset_qps(sole, piece, params), schedule)
+    if q is None:
+        return WiggleOutcome(step, (0.0, 0.0), 0.0, None)
     cx, cy = sole.centroid()
-    for d, qp in zip(schedule, _inset_qps(sole, piece, params, schedule)):
-        q = solve_qp3(qp)
-        if q is None:
-            continue
-        vx, vy, theta = float(q[0]), float(q[1]), float(q[2])
-        cos_t, sin_t = math.cos(theta), math.sin(theta)
-        ox, oy = snap.x - cx, snap.y - cy
-        new_snap = crop_foothold(
-            region,
-            cx + cos_t * ox - sin_t * oy + vx,
-            cy + sin_t * ox + cos_t * oy + vy,
-            snap.yaw + theta,
-            foot,
-        )
-        return WiggleOutcome(PlanStep(step.side, new_snap), (vx, vy), theta, d)
-    return WiggleOutcome(step, (0.0, 0.0), 0.0, None)
+    vx, vy, theta = float(q[0]), float(q[1]), float(q[2])
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    ox, oy = snap.x - cx, snap.y - cy
+    new_snap = crop_foothold(
+        region,
+        cx + cos_t * ox - sin_t * oy + vx,
+        cy + sin_t * ox + cos_t * oy + vy,
+        snap.yaw + theta,
+        foot,
+    )
+    return WiggleOutcome(PlanStep(step.side, new_snap), (vx, vy), theta, d)
+
+
+def _first_solved(
+    qp_at: Callable[[float], WiggleQP], schedule: list[float]
+) -> tuple[float | None, np.ndarray | None]:
+    """The first inset of the decreasing `schedule` whose QP solves, with its
+    answer, or (None, None).
+
+    A larger inset only shrinks the feasible set, so when the first inset
+    fails the last one is tried next: if it fails too, no inset solves.
+    """
+    q = solve_qp3(qp_at(schedule[0]))
+    if q is not None:
+        return schedule[0], q
+    floor = solve_qp3(qp_at(schedule[-1]))
+    if floor is None:
+        return None, None
+    for d in schedule[1:-1]:
+        q = solve_qp3(qp_at(d))
+        if q is not None:
+            return d, q
+    return schedule[-1], floor
 
 
 def wiggle_plan(

@@ -15,6 +15,7 @@ from .geometry import (
     RigidTransform3,
     clip_area,
     clip_vertices,
+    convex_hull,
     point_to_convex_distance,
 )
 
@@ -28,8 +29,9 @@ class WorldLoadError(ValueError):
 class PlanarRegion:
     """One planar region: a 3D pose plus convex pieces in the region's xy plane.
 
-    Derived data (world-frame pieces, xy projections, bounding boxes) is
-    computed once at construction; regions are immutable afterwards.
+    Derived data (world-frame pieces, xy projections, bounding boxes, the
+    plan-view hull) is computed once at construction; regions are immutable
+    afterwards.
     """
 
     def __init__(self, region_id: int, transform_to_world: RigidTransform3, pieces):
@@ -99,6 +101,7 @@ class PlanarRegion:
         xs = [p[0] for p in all_xy]
         ys = [p[1] for p in all_xy]
         self.bounds_xy: tuple[float, float, float, float] = (min(xs), min(ys), max(xs), max(ys))
+        self.hull_xy: tuple = convex_hull(all_xy)
 
     def __repr__(self):
         return f"PlanarRegion(id={self.region_id}, pieces={len(self.pieces)}, snappable={self.snappable})"

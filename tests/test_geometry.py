@@ -18,11 +18,11 @@ from footplan.geometry import (
     RigidTransform3,
     clip_area,
     clip_vertices,
+    convex_hull,
     convex_sets_distance,
     point_in_polygon,
     point_segment_distance,
     point_to_convex_distance,
-    polygon_half_planes,
     polygons_overlap,
     rectangle_polygon,
     rotation_z,
@@ -184,15 +184,6 @@ def test_point_on_boundary_is_inside():
     assert not point_in_polygon((1.0 + 1e-6, 0.0), rect)
 
 
-def test_half_plane_margins_equal_edge_distances():
-    rng = random.Random(13)
-    for _ in range(20):
-        poly = random_convex_polygon(rng)
-        hp = polygon_half_planes(poly)
-        p = (rng.uniform(-1, 1), rng.uniform(-1, 1))
-        assert min(hp.margins(p)) == pytest.approx(min_inside_distance(p, poly.vertices), abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # Clipping
 
@@ -296,10 +287,28 @@ def test_convex_sets_distance_known_gaps():
     assert convex_sets_distance(a.vertices, d.vertices) == 0.0
 
 
+def test_convex_hull_is_the_smallest_convex_cover():
+    rng = random.Random(29)
+    for _ in range(20):
+        points = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.randrange(3, 30))]
+        hull = ConvexPolygon2(convex_hull(points))  # validates CCW winding and convexity
+        assert set(hull.vertices) <= set(points)
+        assert all(point_in_polygon(p, hull) for p in points)
+        n = len(hull.vertices)
+        for i in range(n):  # strict left turns: no collinear or reflex vertex is kept
+            (ax, ay), (bx, by), (cx, cy) = (hull.vertices[(i + k) % n] for k in range(3))
+            assert (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0.0
+    assert convex_hull([(0.0, 0.0), (1.0, 1.0), (0.5, 0.5), (1.0, 1.0)]) == ((0.0, 0.0), (1.0, 1.0))
+    assert convex_hull([(2.0, 3.0), (2.0, 3.0)]) == ((2.0, 3.0),)
+
+
 def test_convex_sets_distance_degenerate_chain():
     a = rectangle_polygon(1.0, 1.0)
     segment = [(2.0, -1.0), (2.0, 1.0)]
     assert convex_sets_distance(a.vertices, segment) == pytest.approx(1.5, abs=1e-12)
+    inside = [(-0.2, 0.1), (0.3, 0.1)]
+    assert convex_sets_distance(inside, a.vertices) == 0.0
+    assert convex_sets_distance(a.vertices, [(0.1, 0.1)]) == 0.0
 
 
 def test_point_to_convex_distance_dense_oracle():

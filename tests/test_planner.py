@@ -1,17 +1,26 @@
 """Search behavior: solutions, failures, best-effort output, and determinism."""
 
 import math
+from dataclasses import replace
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from footplan import planner
 from footplan.costing import CostParams, edge_cost
-from footplan.geometry import Pose2, wrap_angle
+from footplan.geometry import Pose2, RigidTransform3, rectangle_polygon, wrap_angle
 from footplan.lattice import ExpansionParams, LatticeParams, Side, node_to_pose, pose_to_node
-from footplan.planner import PlannerRequest, PlanStatus, plan
-from footplan.snapping import SnapResult, default_foot, snap_pose
-from footplan.validity import validate_edge
-from footplan.world import Environment
+from footplan.params import ParamsBundle
+from footplan.planner import PlannerRequest, PlanStatus, feet_from_midstance, plan
+from footplan.snapping import FootPolygon, SnapResult, default_foot, snap_pose
+from footplan.toolkit.generators import generate_environment
+from footplan.validity import CheckerParams, RejectionReason, validate_edge
+from footplan.world import Environment, PlanarRegion
 
+from test_snapping import recompose
 from test_world import flat_region
 
 # forward-only action box: ten children per node keeps these searches quick
@@ -99,12 +108,41 @@ def test_solution_steps_alternate_sides_and_revalidate():
     assert total == pytest.approx(result.stats.path_cost, abs=1e-9)
 
 
-def test_unreachable_goal_exhausts_the_island():
+def test_unreachable_goal_is_ruled_out_before_the_search():
     env = Environment([flat_region(0, 1.0, 1.0)])
     request = make_request(env, 0.0, Pose2(3.0, 0.0, 0.0))
     result = plan(request)
     assert result.status is PlanStatus.NO_PATH_EXISTS
     assert result.steps == []
+    assert result.stats.nodes_expanded == 0
+    assert result.stats.no_path_reason == "no standable region within 0.20 m of a goal foot"
+
+
+def test_platform_gap_probe_answers_without_a_search():
+    # the default-params 0.8 m platform gap, which used to exhaust its timeout
+    env = generate_environment("platform-gap", 0)
+    bundle = ParamsBundle()
+    left, right = feet_from_midstance(Pose2(-0.75, 0.0, 0.0), bundle.cost.nominal_stance_width)
+    result = plan(bundle.planner_request(env, left, right, Pose2(1.55, 0.0, 0.0), 1.0))
+    assert result.status is PlanStatus.NO_PATH_EXISTS
+    assert result.stats.nodes_expanded == 0
+    assert result.stats.no_path_reason == (
+        "no region chain within reach: nearest gap 0.80 m > bound 0.50 m"
+    )
+
+
+def test_platform_above_step_height_still_exhausts_the_island():
+    # in plan view the platform is one short step away, so only the search
+    # can tell that it is 0.5 m up
+    env = Environment([
+        flat_region(0, 1.0, 1.0),
+        flat_region(1, 1.0, 1.0, center=(1.1, 0.0), z=0.5),
+    ])
+    result = plan(make_request(env, 0.0, Pose2(1.1, 0.0, 0.0)))
+    assert result.status is PlanStatus.NO_PATH_EXISTS
+    assert result.stats.nodes_expanded > 0
+    assert result.stats.children_rejected[RejectionReason.STEP_TOO_HIGH_OR_LOW] > 0
+    assert result.stats.no_path_reason is None
 
 
 def test_timeout_returns_best_effort_progress():
@@ -210,3 +248,110 @@ def test_trench_crossing_depends_on_reach():
     # a 0.5 m trench is not: no foothold pair spans it
     blocked = plan(make_request(trench_world(0.25), -0.7, goal))
     assert blocked.status is PlanStatus.NO_PATH_EXISTS
+
+
+def test_support_below_one_half_lets_feet_overhang_a_gap_wider_than_the_reach():
+    # with 30% support each foot center may sit 0.044 m past its platform's
+    # edge, so a 0.32 m gap is crossed with a 0.3 m reach
+    env = Environment([flat_region(0, 0.6, 0.8), flat_region(1, 0.6, 0.8, center=(0.92, 0.0))])
+    request = PlannerRequest(
+        env=env,
+        start_left=Pose2(0.0, 0.1, 0.0),
+        start_right=Pose2(0.0, -0.1, 0.0),
+        goal_midstance=Pose2(1.02, 0.0, 0.0),
+        lattice=LatticeParams(xy_resolution=0.05, yaw_resolution=math.tau / 4),
+        expansion=replace(NARROW, min_width=0.0),
+        checker=CheckerParams(min_area_fraction=0.3, max_reach=0.3),
+    )
+    result = plan(request)
+    assert result.status is PlanStatus.FOUND_SOLUTION
+    assert max(step.snap.x for step in result.steps) > 0.62
+
+
+def test_region_check_keeps_a_request_solvable_at_its_bounds():
+    # 50.5% support lets a foot center sit 1.1 mm inside an edge. The lattice
+    # puts centers 2 mm inside both edges of a 0.296 m gap, 0.3 m apart, and
+    # the goal foot lies 0.188 m past the far platform, 0.19 m from a center.
+    env = Environment([
+        flat_region(0, 0.602, 0.8, center=(0.001, 0.0)),
+        flat_region(1, 0.404, 0.8, center=(0.8, 0.0)),
+    ])
+    request = PlannerRequest(
+        env=env,
+        start_left=Pose2(0.0, 0.1, 0.0),
+        start_right=Pose2(0.0, -0.1, 0.0),
+        goal_midstance=Pose2(1.19, 0.0, 0.0),
+        lattice=LatticeParams(xy_resolution=0.05, yaw_resolution=math.tau / 4),
+        expansion=replace(NARROW, min_width=0.0),
+        checker=CheckerParams(min_area_fraction=0.505, max_reach=0.3),
+    )
+    result = plan(request)
+    assert result.status is PlanStatus.FOUND_SOLUTION
+    assert [step.snap.region_id for step in result.steps][:2] == [0, 1]
+
+
+@st.composite
+def region_worlds(draw):
+    """A plan request along a chain of 1-4 regions: a start platform, then
+    tilted, multi-piece or wall regions whose gaps lie near the step reach,
+    a symmetric or lopsided sole and a support fraction on either side of
+    one half. Flat edges and gaps often fall on the lattice, so footholds
+    can sit right at an edge."""
+    grid = st.integers(2, 10).map(lambda k: 0.05 * k)
+    reach = draw(st.sampled_from((0.25, 0.3, 0.35, 0.4)))
+    first = 0.1 * draw(st.integers(2, 6))
+    regions = [flat_region(0, first, draw(st.floats(0.3, 0.6)))]
+    edge = first / 2.0
+    for region_id in range(1, draw(st.integers(1, 4))):
+        width, left = draw(st.floats(0.1, 0.8)), draw(grid)
+        pieces = [rectangle_polygon(left, width, center=(-left / 2.0, 0.0))]
+        length = left
+        if draw(st.booleans()):
+            right = draw(grid)
+            pieces.append(rectangle_polygon(right, width, center=(right / 2.0, 0.0)))
+            length += right
+        offset = draw(st.one_of(st.sampled_from((-0.05, 0.0, 0.05)), st.floats(-0.1, 0.2)))
+        x = edge + reach + offset + length / 2.0
+        center = np.array([x, draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.1, 0.1))])
+        if draw(st.integers(0, 4)) == 0:
+            rotation = recompose(draw(st.floats(-math.pi, math.pi)), math.pi / 2.0, 0.0)
+        else:
+            tilt = st.one_of(st.just(0.0), st.floats(-0.4, 0.4))
+            yaw = draw(st.sampled_from((0.0, math.pi / 2.0)))
+            rotation = recompose(yaw, draw(tilt), draw(tilt))
+            edge = x + length / 2.0
+        regions.append(PlanarRegion(region_id, RigidTransform3(rotation, center), pieces))
+    sole_length, sole_width = draw(st.floats(0.1, 0.25)), draw(st.floats(0.06, 0.12))
+    shift = 0.0 if draw(st.booleans()) else draw(st.floats(-0.3, 0.3)) * sole_length
+    foot = FootPolygon(rectangle_polygon(sole_length, sole_width, center=(shift, 0.0)))
+    fraction = draw(st.one_of(st.floats(0.3, 0.5), st.floats(0.501, 0.55), st.floats(0.55, 0.9)))
+    goal = Pose2(edge - draw(st.floats(0.0, 0.3)), draw(st.floats(-0.4, 0.4)), 0.0)
+    return PlannerRequest(
+        env=Environment(regions),
+        start_left=Pose2(0.0, 0.1, 0.0),
+        start_right=Pose2(0.0, -0.1, 0.0),
+        goal_midstance=goal,
+        timeout=30.0,
+        lattice=LatticeParams(xy_resolution=0.05, yaw_resolution=math.tau / 4),
+        # straight-ahead steps, so the reach rather than the stance width binds
+        expansion=replace(NARROW, min_width=0.0),
+        checker=CheckerParams(min_area_fraction=fraction, max_reach=reach),
+        foot=foot,
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(region_worlds())
+def test_region_check_rules_out_only_requests_the_search_cannot_solve(request):
+    # the check's inputs exactly as `plan` builds them
+    starts = [
+        node_to_pose(pose_to_node(pose, side, request.lattice), request.lattice)
+        for pose, side in ((request.start_left, Side.LEFT), (request.start_right, Side.RIGHT))
+    ]
+    goals = feet_from_midstance(request.goal_midstance, request.cost.nominal_stance_width)
+    points = [[(p.x, p.y) for p in feet] for feet in (starts, goals)]
+    if planner._no_region_chain(request, *points) is None:
+        return
+    with mock.patch.object(planner, "_no_region_chain", return_value=None):
+        eager = plan(request)
+    assert eager.status is PlanStatus.NO_PATH_EXISTS

@@ -209,7 +209,7 @@ def test_multi_piece_fraction_sums_but_polygon_is_largest_piece():
         rectangle_polygon(0.4, 0.4, center=(-0.17, 0.0)),
         rectangle_polygon(0.4, 0.4, center=(0.23, 0.0)),
     ]
-    region = PlanarRegion(0, RigidTransform3.identity(), pieces)
+    region = PlanarRegion(0, RigidTransform3(np.eye(3), np.zeros(3)), pieces)
     snap = snap_pose(Pose2(0.0, 0.0, 0.0), Environment([region]), FOOT)
     assert snap.area_fraction == pytest.approx(1.0, abs=1e-6)
     assert snap.cropped_foothold is not None

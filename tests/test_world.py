@@ -76,18 +76,18 @@ def test_downward_facing_region_normal_flipped_and_winding_kept_ccw():
 def test_overlapping_pieces_rejected():
     pieces = [rectangle_polygon(1.0, 1.0), rectangle_polygon(1.0, 1.0, center=(0.5, 0.0))]
     with pytest.raises(WorldLoadError, match="region 9"):
-        PlanarRegion(9, RigidTransform3.identity(), pieces)
+        PlanarRegion(9, RigidTransform3(np.eye(3), np.zeros(3)), pieces)
 
 
 def test_touching_pieces_allowed():
     pieces = [rectangle_polygon(1.0, 1.0), rectangle_polygon(1.0, 1.0, center=(1.0, 0.0))]
-    region = PlanarRegion(0, RigidTransform3.identity(), pieces)
+    region = PlanarRegion(0, RigidTransform3(np.eye(3), np.zeros(3)), pieces)
     assert len(region.pieces) == 2
 
 
 def test_empty_pieces_rejected():
     with pytest.raises(WorldLoadError):
-        PlanarRegion(0, RigidTransform3.identity(), [])
+        PlanarRegion(0, RigidTransform3(np.eye(3), np.zeros(3)), [])
 
 
 # ---------------------------------------------------------------------------
