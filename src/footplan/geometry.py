@@ -424,11 +424,6 @@ class RigidTransform3:
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", tr)
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Map (N,3) or (3,) points into the parent frame."""
-        pts = np.asarray(points, dtype=float)
-        return pts @ self.rotation.T + self.translation
-
 
 def rotation_z(yaw: float) -> np.ndarray:
     c, s = math.cos(yaw), math.sin(yaw)

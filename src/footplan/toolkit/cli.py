@@ -18,6 +18,7 @@ from pathlib import Path
 from ..geometry import GeometryError, Pose2
 from ..params import ParamsBundle, ParamsError, load_params
 from ..planner import PlanStatus, feet_from_midstance, plan
+from ..validity import RejectionReason
 from ..wiggle import wiggle_plan
 from ..world import WorldLoadError, load_environment, environment_to_json
 from .benchmark import BenchmarkError, benchmark_csv, load_benchmark_suite, run_benchmark
@@ -130,6 +131,9 @@ def _plan_document(result, steps) -> dict:
             "nodes_expanded": stats.nodes_expanded,
             "children_considered": stats.children_considered,
             "percent_rejected": stats.percent_rejected,
+            "rejected": {
+                reason.value: stats.children_rejected[reason] for reason in RejectionReason
+            },
             "duration_s": duration,
             "path_cost": stats.path_cost,
             "path_distance_m": stats.path_distance_m,

@@ -11,8 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import chain
 
 from .constants import BOUNDARY_SLACK
 from .geometry import (
@@ -173,34 +172,34 @@ def check_cliff_clearance(
     return None
 
 
-def _sat_disjoint(verts_a: np.ndarray, verts_b: np.ndarray, axes) -> bool:
-    for axis in axes:
-        norm = float(np.linalg.norm(axis))
+def _prism_hits_piece(corners, z_lo, z_hi, face_axes, edge_dirs, solid, normal) -> bool:
+    """Separating-axis test of a prism, the plan-view polygon `corners` swept
+    over [z_lo, z_hi], against one piece solid of a region with up normal
+    `normal`. The candidate axes are the prism's face normals, the piece
+    normal, the piece's rim normals and every prism-edge x piece-edge cross
+    product (Ericson, Real-Time Collision Detection, ch. 5). The two touch
+    unless some axis parts their projections by more than BOUNDARY_SLACK.
+    """
+    verts, edges, rims = solid
+    crosses = (
+        (dy * ez - dz * ey, dz * ex - dx * ez, dx * ey - dy * ex)
+        for dx, dy, dz in edge_dirs
+        for ex, ey, ez in edges
+    )
+    for ax, ay, az in chain(face_axes, (normal,), rims, crosses):
+        norm = math.sqrt(ax * ax + ay * ay + az * az)
         if norm < 1e-12:
             continue
-        unit = axis / norm
-        pa = verts_a @ unit
-        pb = verts_b @ unit
-        if pa.max() < pb.min() - BOUNDARY_SLACK or pb.max() < pa.min() - BOUNDARY_SLACK:
-            return True
-    return False
-
-
-def _piece_axes(piece: np.ndarray, normal: np.ndarray):
-    edges = np.roll(piece, -1, axis=0) - piece
-    rim = [np.cross(e, normal) for e in edges]
-    return edges, rim
-
-
-def _polytope_hits_piece(
-    verts: np.ndarray, face_normals, edge_dirs, piece: np.ndarray, piece_normal: np.ndarray
-) -> bool:
-    piece_edges, piece_rim = _piece_axes(piece, piece_normal)
-    axes = list(face_normals) + [piece_normal] + piece_rim
-    for d in edge_dirs:
-        for e in piece_edges:
-            axes.append(np.cross(d, e))
-    return not _sat_disjoint(verts, piece, axes)
+        ux, uy, uz = ax / norm, ay / norm, az / norm
+        flat = [x * ux + y * uy for x, y in corners]
+        za, zb = z_lo * uz, z_hi * uz
+        if za > zb:
+            za, zb = zb, za
+        pa_lo, pa_hi = min(flat) + za, max(flat) + zb
+        proj = [x * ux + y * uy + z * uz for x, y, z in verts]
+        if pa_hi < min(proj) - BOUNDARY_SLACK or max(proj) < pa_lo - BOUNDARY_SLACK:
+            return False
+    return True
 
 
 def check_step_over(
@@ -232,23 +231,23 @@ def check_step_over(
     y_lo = min(c[1] for c in corners)
     x_hi = max(c[0] for c in corners)
     y_hi = max(c[1] for c in corners)
-    rect = None
+    rect_faces = None
     for region in env.regions:
         if region.z_min > z + BOUNDARY_SLACK or region.z_max < z - BOUNDARY_SLACK:
             continue
         rx0, ry0, rx1, ry1 = region.bounds_xy
         if rx1 < x_lo or rx0 > x_hi or ry1 < y_lo or ry0 > y_hi:
             continue
-        if rect is None:
-            rect = np.array([(cx, cy, z) for cx, cy in corners])
-            up = np.array([0.0, 0.0, 1.0])
-            rect_edges = [
-                np.array([direction[0], direction[1], 0.0]),
-                np.array([perp[0], perp[1], 0.0]),
-            ]
-            rect_axes = [up] + [np.cross(e, up) for e in rect_edges]
-        for piece in region.world_pieces:
-            if _polytope_hits_piece(rect, rect_axes, rect_edges, piece, region.up_normal):
+        if rect_faces is None:
+            rect_edges = ((direction[0], direction[1], 0.0), (perp[0], perp[1], 0.0))
+            # the rectangle's up normal and its two rims, edge x up
+            rect_faces = (
+                (0.0, 0.0, 1.0),
+                (direction[1], -direction[0], 0.0),
+                (perp[1], -perp[0], 0.0),
+            )
+        for solid in region.piece_solids:
+            if _prism_hits_piece(corners, z, z, rect_faces, rect_edges, solid, region.up_normal):
                 return RejectionReason.STEP_OVER_OBSTACLE
     return None
 
@@ -290,20 +289,15 @@ def check_body_box(
     y_lo = min(c[1] for c in corners_2d)
     x_hi = max(c[0] for c in corners_2d)
     y_hi = max(c[1] for c in corners_2d)
-    verts = None
+    box_axes = ((cos_y, sin_y, 0.0), (-sin_y, cos_y, 0.0), (0.0, 0.0, 1.0))
     for region in near:
         rx0, ry0, rx1, ry1 = region.bounds_xy
         if rx1 < x_lo or rx0 > x_hi or ry1 < y_lo or ry0 > y_hi:
             continue
-        if verts is None:
-            verts = np.array([(x, y, z) for z in (z_lo, z_hi) for x, y in corners_2d])
-            axes_box = [
-                np.array([cos_y, sin_y, 0.0]),
-                np.array([-sin_y, cos_y, 0.0]),
-                np.array([0.0, 0.0, 1.0]),
-            ]
-        for piece in region.world_pieces:
-            if _polytope_hits_piece(verts, axes_box, axes_box, piece, region.up_normal):
+        for solid in region.piece_solids:
+            if _prism_hits_piece(
+                corners_2d, z_lo, z_hi, box_axes, box_axes, solid, region.up_normal
+            ):
                 return RejectionReason.BODY_BOX_COLLISION
     return None
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,10 +27,19 @@ class WorldLoadError(ValueError):
     """Raised when an environment document violates the format."""
 
 
+class PieceSolid(NamedTuple):
+    """A region piece in world coordinates, as the separating-axis test reads it:
+    vertices, edges (vertex i to i + 1) and rim normals (edge x up normal)."""
+
+    vertices: tuple[tuple[float, float, float], ...]
+    edges: tuple[tuple[float, float, float], ...]
+    rims: tuple[tuple[float, float, float], ...]
+
+
 class PlanarRegion:
     """One planar region: a 3D pose plus convex pieces in the region's xy plane.
 
-    Derived data (world-frame pieces, xy projections, bounding boxes, the
+    Derived data (world-frame piece solids, xy projections, bounding boxes, the
     plan-view hull) is computed once at construction; regions are immutable
     afterwards.
     """
@@ -50,16 +60,12 @@ class PlanarRegion:
                         f"region {self.region_id}: pieces {i} and {j} overlap by {overlap:g} m^2"
                     )
 
-        rot = transform_to_world.rotation
-        normal = rot[:, 2].copy()
-        if normal[2] < 0:
-            normal = -normal  # orient the support normal upward
-        self.up_normal: np.ndarray = normal
-        self.snappable: bool = abs(float(rot[2, 2])) > NEAR_VERTICAL_NZ
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = transform_to_world.rotation.tolist()
+        tx, ty, tz = transform_to_world.translation.tolist()
+        nx, ny, nz = (r02, r12, r22) if r22 >= 0 else (-r02, -r12, -r22)  # support normal up
+        self.up_normal: tuple[float, float, float] = (nx, ny, nz)
+        self.snappable: bool = abs(r22) > NEAR_VERTICAL_NZ
         if self.snappable:
-            t = transform_to_world.translation
-            nx, ny, nz = (float(v) for v in normal)
-            tx, ty, tz = (float(v) for v in t)
             # z(x, y) = z0 - a x - b y for the region's infinite plane
             self.plane_coeffs: tuple[float, float, float] | None = (
                 nx / nz,
@@ -69,18 +75,26 @@ class PlanarRegion:
         else:
             self.plane_coeffs = None
 
-        world_pieces = []
+        solids = []
         projected = []
         piece_boxes = []
         zs = []
         for piece in self.pieces:
-            verts2 = np.array(piece.vertices, dtype=float)
-            verts3 = np.column_stack([verts2, np.zeros(len(verts2))])
-            world = transform_to_world.apply(verts3)
-            world_pieces.append(world)
-            zs.append((float(world[:, 2].min()), float(world[:, 2].max())))
-            xy = [(float(p[0]), float(p[1])) for p in world]
-            if float(rot[2, 2]) < 0:
+            world = [
+                (r00 * u + r01 * v + tx, r10 * u + r11 * v + ty, r20 * u + r21 * v + tz)
+                for u, v in piece.vertices
+            ]
+            edges = [
+                (bx - ax, by - ay, bz - az)
+                for (ax, ay, az), (bx, by, bz) in zip(world, world[1:] + world[:1])
+            ]
+            rims = [
+                (ey * nz - ez * ny, ez * nx - ex * nz, ex * ny - ey * nx) for ex, ey, ez in edges
+            ]
+            solids.append(PieceSolid(tuple(world), tuple(edges), tuple(rims)))
+            zs.append((min(p[2] for p in world), max(p[2] for p in world)))
+            xy = [(p[0], p[1]) for p in world]
+            if r22 < 0:
                 xy = xy[::-1]  # keep projected winding counter-clockwise
             projected.append(tuple(xy))
             piece_boxes.append(
@@ -91,7 +105,7 @@ class PlanarRegion:
                     max(p[1] for p in xy),
                 )
             )
-        self.world_pieces: tuple[np.ndarray, ...] = tuple(world_pieces)
+        self.piece_solids: tuple[PieceSolid, ...] = tuple(solids)
         self.projected_pieces: tuple[tuple, ...] = tuple(projected)
         self.piece_bounds_xy: tuple[tuple[float, float, float, float], ...] = tuple(piece_boxes)
         self.z_min: float = min(lo for lo, _ in zs)

@@ -536,8 +536,8 @@ CORRIDOR_LATTICE = LatticeParams(0.1, math.tau / 24)
 CORRIDOR_EXPANSION = ExpansionParams(-0.1, 0.4, 0.15, 0.35, -math.tau / 12, math.tau / 12, 0.55)
 
 
-def corridor_request(spacing, timeout):
-    env = generate_environment("narrow-gap", 0, {"spacing": spacing})
+def corridor_request(spacing, timeout, post_side=0.3):
+    env = generate_environment("narrow-gap", 0, {"spacing": spacing, "post_side": post_side})
     return PlannerRequest(
         env=env,
         start_left=Pose2(-0.9, 0.125, 0.0),
@@ -564,7 +564,9 @@ def test_criterion_8_corridor_sideways_gait_and_refusal():
     if not sideways:
         failures.append("no sideways stance inside the corridor")
 
-    blocked = plan(corridor_request(0.35, 10.0))
+    # 0.65 m posts reach past the ground's 0.8 m half-width, so no path leads
+    # around the outside of the bollards
+    blocked = plan(corridor_request(0.35, 10.0, post_side=0.65))
     if blocked.status not in (PlanStatus.NO_PATH_EXISTS, PlanStatus.TIMED_OUT_BEST_EFFORT):
         failures.append(f"blocked corridor {blocked.status.value}")
     intrusions = [

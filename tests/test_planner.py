@@ -340,7 +340,7 @@ def region_worlds(draw):
     )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(region_worlds())
 def test_region_check_rules_out_only_requests_the_search_cannot_solve(request):
     # the check's inputs exactly as `plan` builds them

@@ -260,7 +260,7 @@ def tilted_snaps(draw):
     return region, pose
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(tilted_snaps())
 def test_snap_result_is_one_consistent_foothold(case):
     region, pose = case

@@ -7,12 +7,14 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from footplan.geometry import Pose2
+from footplan.geometry import Pose2, RigidTransform3, rectangle_polygon
 from footplan.lattice import Side
-from footplan.planner import PlanStep
+from footplan.planner import PlanStep, plan
 from footplan.snapping import SnapResult, default_foot, snap_pose
+from footplan.toolkit import cli
 from footplan.toolkit.benchmark import (
     BenchmarkError,
     benchmark_csv,
@@ -23,9 +25,16 @@ from footplan.toolkit.cli import main as cli_main
 from footplan.toolkit.generators import GENERATOR_KINDS, generate_environment
 from footplan.toolkit.scenario import ScenarioError, load_scenario_script, run_anytime_scenario
 from footplan.toolkit.svg_render import render_svg
-from footplan.world import Environment, WorldLoadError, environment_to_dict, environment_to_json
+from footplan.validity import RejectionReason
+from footplan.world import (
+    Environment,
+    PlanarRegion,
+    WorldLoadError,
+    environment_to_dict,
+    environment_to_json,
+)
 
-from test_world import flat_region
+from test_world import flat_region, rotation_about_y
 
 NARROW_PARAMS = {
     "expansion_min_length": 0.0,
@@ -401,6 +410,39 @@ def test_cli_plan_stdout_and_file_agree(tmp_path, stable_env, capsys):
     out_path = tmp_path / "plan.json"
     assert cli_main(argv + ["--out", str(out_path)]) == 0
     assert out_path.read_text() == stdout
+
+
+def test_cli_plan_writes_rejections_by_reason(tmp_path, stable_env, monkeypatch):
+    # a wall just left of the straight route: children whose body box
+    # reaches it are rejected by the body-box check
+    wall = PlanarRegion(
+        1,
+        RigidTransform3(rotation_about_y(math.pi / 2.0), np.array([0.0, 0.5, 0.0])),
+        [rectangle_polygon(2.0, 0.6, center=(-1.0, 0.0))],
+    )
+    env_path = tmp_path / "env.json"
+    env_path.write_text(environment_to_json(Environment([flat_region(0, 4.0, 2.0), wall])))
+    params_path = write_params(tmp_path)
+    results = []
+
+    def recording_plan(request):
+        results.append(plan(request))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "plan", recording_plan)
+    documents = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        argv = ["plan", "--env", str(env_path), "--params", str(params_path),
+                "--start=-0.6,0,0", "--goal", "0.6,0,0", "--out", str(out)]
+        assert cli_main(argv) == 0
+        documents.append(out.read_bytes())
+    assert documents[0] == documents[1]
+
+    rejected = json.loads(documents[0])["stats"]["rejected"]
+    assert list(rejected) == sorted(reason.value for reason in RejectionReason)
+    assert sum(rejected.values()) == results[0].stats.total_rejected
+    assert rejected["body_box_collision"] > 0
 
 
 def test_cli_plan_exit_codes(tmp_path, stable_env, capsys):

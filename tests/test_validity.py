@@ -5,8 +5,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from footplan.geometry import Pose2, RigidTransform3, rectangle_polygon
+from footplan.constants import BOUNDARY_SLACK
+from footplan.geometry import (
+    ConvexPolygon2,
+    GeometryError,
+    Pose2,
+    RigidTransform3,
+    rectangle_polygon,
+    rotation_z,
+)
 from footplan.lattice import Side
 from footplan.snapping import SnapFailure, SnapResult, default_foot, snap_pose
 from footplan.validity import (
@@ -291,3 +301,190 @@ def test_checker_params_validation():
         CheckerParams(max_reach=-0.1)
     with pytest.raises(ValueError):
         CheckerParams(body_box_top=0.2, body_box_bottom=0.3)
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the plain-float separating-axis checks against the numpy
+# separating-axis test they replaced, kept here as the oracle
+
+
+def oracle_sat_disjoint(verts_a: np.ndarray, verts_b: np.ndarray, axes) -> bool:
+    for axis in axes:
+        norm = float(np.linalg.norm(axis))
+        if norm < 1e-12:
+            continue
+        unit = axis / norm
+        pa = verts_a @ unit
+        pb = verts_b @ unit
+        if pa.max() < pb.min() - BOUNDARY_SLACK or pb.max() < pa.min() - BOUNDARY_SLACK:
+            return True
+    return False
+
+
+def oracle_piece_axes(piece: np.ndarray, normal: np.ndarray):
+    edges = np.roll(piece, -1, axis=0) - piece
+    rim = [np.cross(e, normal) for e in edges]
+    return edges, rim
+
+
+def oracle_polytope_hits_piece(
+    verts: np.ndarray, face_normals, edge_dirs, piece: np.ndarray, piece_normal: np.ndarray
+) -> bool:
+    piece_edges, piece_rim = oracle_piece_axes(piece, piece_normal)
+    axes = list(face_normals) + [piece_normal] + piece_rim
+    for d in edge_dirs:
+        for e in piece_edges:
+            axes.append(np.cross(d, e))
+    return not oracle_sat_disjoint(verts, piece, axes)
+
+
+def oracle_world_pieces(region):
+    """The region's pieces lifted to world with numpy, and its upward normal."""
+    rotation = region.transform_to_world.rotation
+    normal = rotation[:, 2].copy()
+    if normal[2] < 0:
+        normal = -normal
+    pieces = []
+    for piece in region.pieces:
+        verts2 = np.array(piece.vertices, dtype=float)
+        verts3 = np.column_stack([verts2, np.zeros(len(verts2))])
+        pieces.append(verts3 @ rotation.T + region.transform_to_world.translation)
+    return pieces, normal
+
+
+def oracle_step_over_hits(parent_snap, child_snap, env, params, foot) -> bool:
+    z = max(parent_snap.z, child_snap.z) + params.step_over_height
+    ax, ay = parent_snap.x, parent_snap.y
+    bx, by = child_snap.x, child_snap.y
+    length = math.hypot(bx - ax, by - ay)
+    direction = (1.0, 0.0) if length < 1e-12 else ((bx - ax) / length, (by - ay) / length)
+    perp = (-direction[1], direction[0])
+    _, min_w, _, max_w = foot.sole.bounds
+    half = (max_w - min_w) / 2.0
+    corners = [
+        (ax + perp[0] * half, ay + perp[1] * half),
+        (ax - perp[0] * half, ay - perp[1] * half),
+        (bx - perp[0] * half, by - perp[1] * half),
+        (bx + perp[0] * half, by + perp[1] * half),
+    ]
+    x_lo, y_lo = min(c[0] for c in corners), min(c[1] for c in corners)
+    x_hi, y_hi = max(c[0] for c in corners), max(c[1] for c in corners)
+    rect = np.array([(cx, cy, z) for cx, cy in corners])
+    up = np.array([0.0, 0.0, 1.0])
+    rect_edges = [np.array([direction[0], direction[1], 0.0]), np.array([perp[0], perp[1], 0.0])]
+    rect_axes = [up] + [np.cross(e, up) for e in rect_edges]
+    for region in env.regions:
+        if region.z_min > z + BOUNDARY_SLACK or region.z_max < z - BOUNDARY_SLACK:
+            continue
+        rx0, ry0, rx1, ry1 = region.bounds_xy
+        if rx1 < x_lo or rx0 > x_hi or ry1 < y_lo or ry0 > y_hi:
+            continue
+        pieces, normal = oracle_world_pieces(region)
+        for piece in pieces:
+            if oracle_polytope_hits_piece(rect, rect_axes, rect_edges, piece, normal):
+                return True
+    return False
+
+
+def oracle_body_box_hits(parent_snap, child_snap, env, params) -> bool:
+    mid_z = (parent_snap.z + child_snap.z) / 2.0
+    z_lo = mid_z + params.body_box_bottom
+    z_hi = mid_z + params.body_box_top
+    mid = midstance_pose(parent_snap.planar_pose, child_snap.planar_pose)
+    cos_y, sin_y = math.cos(mid.yaw), math.sin(mid.yaw)
+    half_d = params.body_box_depth / 2.0
+    half_w = params.body_box_width / 2.0
+    corners_2d = [
+        (mid.x + cos_y * sx * half_d - sin_y * sy * half_w,
+         mid.y + sin_y * sx * half_d + cos_y * sy * half_w)
+        for sx, sy in ((1, 1), (1, -1), (-1, -1), (-1, 1))
+    ]
+    x_lo, y_lo = min(c[0] for c in corners_2d), min(c[1] for c in corners_2d)
+    x_hi, y_hi = max(c[0] for c in corners_2d), max(c[1] for c in corners_2d)
+    verts = np.array([(x, y, z) for z in (z_lo, z_hi) for x, y in corners_2d])
+    axes_box = [
+        np.array([cos_y, sin_y, 0.0]),
+        np.array([-sin_y, cos_y, 0.0]),
+        np.array([0.0, 0.0, 1.0]),
+    ]
+    for region in env.regions:
+        if region.z_min > z_hi + BOUNDARY_SLACK or region.z_max < z_lo - BOUNDARY_SLACK:
+            continue
+        rx0, ry0, rx1, ry1 = region.bounds_xy
+        if rx1 < x_lo or rx0 > x_hi or ry1 < y_lo or ry0 > y_hi:
+            continue
+        pieces, normal = oracle_world_pieces(region)
+        for piece in pieces:
+            if oracle_polytope_hits_piece(verts, axes_box, axes_box, piece, normal):
+                return True
+    return False
+
+
+def bare_snap(x, y, z, yaw):
+    """A foothold record carrying only the pose the collision checks read."""
+    return SnapResult(
+        x=x, y=y, z=z, yaw=yaw, surface_roll=0.0, surface_pitch=0.0, region_id=0,
+        cropped_foothold=None, area_fraction=1.0, rotation=np.eye(3), sole=(), piece_index=None,
+    )
+
+
+@st.composite
+def collision_scenes(draw):
+    """A step, and a random convex piece on a flat, tilted or vertical plane
+    that passes close to its body box and its step-over rectangle."""
+    near = st.floats(-0.5, 0.5)
+    parent = bare_snap(
+        draw(near), draw(near), draw(st.floats(-0.3, 0.3)), draw(st.floats(-math.pi, math.pi))
+    )
+    child = bare_snap(
+        parent.x + draw(near),
+        parent.y + draw(near),
+        parent.z + draw(st.floats(-0.3, 0.3)),
+        parent.yaw + draw(st.floats(-1.0, 1.0)),
+    )
+    kind = draw(st.sampled_from(["flat", "tilted", "vertical"]))
+    pitch = {
+        "flat": 0.0,
+        "tilted": draw(st.floats(-2.6, 2.6)),
+        "vertical": draw(st.sampled_from([-1.0, 1.0])) * math.pi / 2.0,
+    }[kind]
+    rotation = rotation_z(draw(st.floats(-math.pi, math.pi))) @ rotation_about_y(pitch)
+    rect_z = max(parent.z, child.z) + PARAMS.step_over_height
+    if not draw(st.booleans()):
+        z = draw(st.floats(-0.2, 1.5))
+    elif kind == "flat":
+        # a flat piece meets the step-over rectangle only at its height, where
+        # a gap inside BOUNDARY_SLACK still counts as contact
+        touching = 0.5 * BOUNDARY_SLACK
+        z = draw(st.sampled_from([rect_z, rect_z + touching, rect_z - touching]))
+    else:
+        z = draw(st.floats(rect_z - 0.2, rect_z + 0.2))
+    offset = st.floats(-0.3, 0.3)
+    center = (
+        (parent.x + child.x) / 2.0 + draw(offset),
+        (parent.y + child.y) / 2.0 + draw(offset),
+        z,
+    )
+    # points on an ellipse, in angle order, are always convex
+    rx, ry = draw(st.floats(0.05, 0.8)), draw(st.floats(0.05, 0.8))
+    angles = sorted(draw(st.lists(st.floats(0.0, math.tau), min_size=3, max_size=7)))
+    try:
+        piece = ConvexPolygon2([(rx * math.cos(a), ry * math.sin(a)) for a in angles])
+    except GeometryError:
+        piece = rectangle_polygon(2.0 * rx, 2.0 * ry)
+    region = PlanarRegion(0, RigidTransform3(rotation, np.array(center)), [piece])
+    return Environment([region]), parent, child
+
+
+@settings(max_examples=400)
+@given(collision_scenes())
+def test_collision_checks_match_the_numpy_separating_axis_oracle(scene):
+    env, parent, child = scene
+    body_hit = oracle_body_box_hits(parent, child, env, PARAMS)
+    assert check_body_box(parent, child, env, PARAMS) is (
+        RejectionReason.BODY_BOX_COLLISION if body_hit else None
+    )
+    over_hit = oracle_step_over_hits(parent, child, env, PARAMS, FOOT)
+    assert check_step_over(parent, child, env, PARAMS, FOOT) is (
+        RejectionReason.STEP_OVER_OBSTACLE if over_hit else None
+    )

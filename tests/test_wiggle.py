@@ -197,7 +197,7 @@ def wiggle_qps(draw):
     return build_wiggle_qp(sole, piece, params)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(wiggle_qps())
 def test_solve_qp3_matches_vertex_enumeration(qp):
     vertices = feasible_vertices(qp)
