@@ -25,6 +25,7 @@ EXPANSION_BOUND_SLACK = 1e-9
 
 # Search / costing
 COST_EPS = 1e-12
+COST_BOUND_EPS = 1e-9        # margin of the lattice lower bound on a step's cost
 REACH_SLACK = 1e-6          # rounding margin on a foothold center's distance to its region hull
 
 # Wiggle QP

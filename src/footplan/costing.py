@@ -4,10 +4,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .constants import COST_EPS
+from .constants import COST_BOUND_EPS, COST_EPS
 from .geometry import Point2, Pose2, wrap_angle
-from .lattice import Side
+from .lattice import (
+    ExpansionParams,
+    FootstepNode,
+    LatticeParams,
+    Side,
+    expand_node,
+    node_to_pose,
+)
 from .snapping import SnapResult
 from .validity import midstance_pose
 
@@ -39,6 +47,21 @@ class CostParams:
             raise ValueError("nominal_stance_width must be positive")
 
 
+def _planar_terms(
+    parent: Pose2, child: Pose2, stance_side: Side, stance_width: float
+) -> tuple[float, float]:
+    """A step's midstance displacement from the parent's nominal midstance
+    and its midstance yaw change."""
+    offset = stance_side.mirror_sign * stance_width / 2.0
+    cos_y, sin_y = math.cos(parent.yaw), math.sin(parent.yaw)
+    nominal_mid = (parent.x - sin_y * offset, parent.y + cos_y * offset)
+
+    mid = midstance_pose(parent, child)
+    d_mid = math.hypot(mid.x - nominal_mid[0], mid.y - nominal_mid[1])
+    d_yaw = abs(wrap_angle(mid.yaw - parent.yaw))
+    return d_mid, d_yaw
+
+
 def edge_cost(
     parent_snap: SnapResult,
     child_snap: SnapResult,
@@ -48,16 +71,9 @@ def edge_cost(
     """Step cost: midstance displacement from the parent's nominal midstance,
     height change, midstance yaw change, uncovered foothold area, and surface
     roll/pitch, plus a constant per-step charge."""
-    parent = parent_snap.planar_pose
-    child = child_snap.planar_pose
-
-    offset = stance_side.mirror_sign * params.nominal_stance_width / 2.0
-    cos_y, sin_y = math.cos(parent.yaw), math.sin(parent.yaw)
-    nominal_mid = (parent.x - sin_y * offset, parent.y + cos_y * offset)
-
-    mid = midstance_pose(parent, child)
-    d_mid = math.hypot(mid.x - nominal_mid[0], mid.y - nominal_mid[1])
-    d_yaw = abs(wrap_angle(mid.yaw - parent.yaw))
+    d_mid, d_yaw = _planar_terms(
+        parent_snap.planar_pose, child_snap.planar_pose, stance_side, params.nominal_stance_width
+    )
     dz = abs(child_snap.z - parent_snap.z)
     return (
         params.w_distance * d_mid
@@ -67,6 +83,39 @@ def edge_cost(
         + params.w_roll_pitch * (abs(child_snap.surface_roll) + abs(child_snap.surface_pitch))
         + params.cost_per_step
     )
+
+
+@lru_cache(maxsize=512)
+def edge_cost_bounds(
+    lattice: LatticeParams,
+    expansion: ExpansionParams,
+    params: CostParams,
+    side: Side,
+    yaw_index: int,
+) -> tuple[float, ...]:
+    """A lower bound on `edge_cost` for each step `expand_node` makes from a
+    `side` parent in yaw bin `yaw_index`, in `expand_node`'s order.
+
+    The bound is the planar part of the cost (midstance displacement, yaw
+    change, per-step charge) on lattice poses, less COST_BOUND_EPS; the
+    height, area and roll/pitch terms are never negative. The planar part
+    depends only on the child's index offset, so the parent is placed at the
+    origin. The eps covers the rounding that differs from the snapped poses:
+    their yaw comes from `yaw_of_rotation` and their midstance from absolute
+    positions.
+    """
+    parent = FootstepNode(0, 0, yaw_index, side)
+    parent_pose = node_to_pose(parent, lattice)
+    bounds = []
+    for child in expand_node(parent, lattice, expansion):
+        d_mid, d_yaw = _planar_terms(
+            parent_pose, node_to_pose(child, lattice), side, params.nominal_stance_width
+        )
+        bounds.append(
+            params.w_distance * d_mid + params.w_yaw * d_yaw + params.cost_per_step
+            - COST_BOUND_EPS
+        )
+    return tuple(bounds)
 
 
 def reference_yaw(position: Point2, goal: Pose2, start: Pose2, params: CostParams) -> float:

@@ -6,6 +6,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .constants import EXPANSION_BOUND_SLACK, YAW_DIVISION_TOL
 from .geometry import Pose2, wrap_angle
@@ -14,6 +15,10 @@ from .geometry import Pose2, wrap_angle
 class Side(enum.Enum):
     LEFT = "left"
     RIGHT = "right"
+
+    # Members are singletons, so identity hashing is exact; it runs in C,
+    # where Enum's own hash is a Python call on every node lookup.
+    __hash__ = object.__hash__
 
     @property
     def opposite(self) -> "Side":
@@ -25,9 +30,12 @@ class Side(enum.Enum):
         return -1.0 if self is Side.LEFT else 1.0
 
 
-@dataclass(frozen=True, slots=True)
-class FootstepNode:
-    """One lattice vertex: grid position, yaw bin, and which foot stands there."""
+class FootstepNode(NamedTuple):
+    """One lattice vertex: grid position, yaw bin, and which foot stands there.
+
+    A tuple, so that building, hashing and comparing the many nodes a search
+    makes runs in C.
+    """
 
     x_index: int
     y_index: int

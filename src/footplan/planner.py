@@ -1,4 +1,4 @@
-"""Weighted A* search over the footstep lattice with anytime best-effort output."""
+"""Lazy weighted A* search over the footstep lattice with anytime best-effort output."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .constants import BOUNDARY_SLACK, REACH_SLACK
-from .costing import CostParams, edge_cost, heuristic_cost
+from .costing import CostParams, edge_cost, edge_cost_bounds, heuristic_cost
 from .geometry import Point2, Pose2, convex_sets_distance, point_to_convex_distance, wrap_angle
 from .lattice import (
     ExpansionParams,
@@ -23,7 +23,7 @@ from .lattice import (
     pose_to_node,
 )
 from .snapping import FootPolygon, SnapFailure, SnapResult, default_foot, snap_pose
-from .validity import CheckerParams, midstance_pose, validate_edge
+from .validity import FOOTHOLD_REASONS, CheckerParams, midstance_pose, validate_edge
 from .world import Environment, PlanarRegion
 
 log = logging.getLogger("footplan.planner")
@@ -66,6 +66,19 @@ class PlanStep:
 
 @dataclass
 class SearchStats:
+    """Counters of one search.
+
+    The search is lazy: an edge is snapped and validated only when it reaches
+    the front of the queue (see `_Search`). `children_considered` counts the
+    edges evaluated so, `children_rejected` those of them a check rejected,
+    by reason, and `percent_rejected` is their share. Edges never evaluated
+    are not counted: those into a node closed first, those whose lower bound
+    cannot beat the child's score, and those into a child whose own foothold
+    already failed (no snap, too steep, too little support). The expansion
+    order, so `nodes_expanded` and the path, are those of an eager search
+    that evaluates every child of a node when it expands the node.
+    """
+
     nodes_expanded: int = 0
     children_considered: int = 0
     children_rejected: Counter = field(default_factory=Counter)
@@ -87,6 +100,11 @@ class SearchStats:
 
 @dataclass
 class PlannerResult:
+    """A search's answer. On a timeout, `steps` lead to the best-effort node:
+    the scored node of least heuristic (ties to the lower g), so one whose
+    edge was evaluated. `tracker_history` holds that node's heuristic each
+    time it changed."""
+
     status: PlanStatus
     steps: list[PlanStep]
     stats: SearchStats
@@ -115,7 +133,7 @@ def _box_gap(a, b) -> float:
 
 
 def _no_region_chain(
-    request: PlannerRequest, start_points: list[Point2], goal_points: list[Point2]
+    request: PlannerRequest, start_feet: list[SnapResult], goal_points: list[Point2]
 ) -> str | None:
     """Why no path can exist, or None when a chain of regions may link a start
     foot to the goal.
@@ -129,12 +147,16 @@ def _no_region_chain(
       supported and the foothold fails `check_area`.
     - Otherwise the snapped sole overlaps the region, so its center is within
       the foot's circumradius of the hull (`grow`).
-    Every accepted edge also passes `check_step_geometry`'s max_reach. So a
-    path is a chain from a start foot (a lattice point, never area-checked)
-    through regions whose hulls lie within max_reach + BOUNDARY_SLACK +
-    2 grow of each other (one grow from a start point), ending on a region
-    within goal_tolerance + grow of a goal foot. Walls cannot be stood on
-    and are left out.
+    A foothold's z is its region's plane height at the center, so it lies
+    within grow x the plane's slope of the region's [z_min, z_max].
+    Every accepted edge also passes `check_step_geometry`'s max_reach and
+    step height limits. So a path is a chain from a start foot (a snapped
+    lattice point, never area-checked) through regions whose hulls lie within
+    max_reach + BOUNDARY_SLACK + 2 grow of each other (one grow from a start
+    foot), each region's height range within max_step_up above or
+    max_step_down below the one before, ending on a region within
+    goal_tolerance + grow of a goal foot. The height limits make the links
+    directed. Walls cannot be stood on and are left out.
     """
     foot, checker = request.foot, request.checker
     if foot.centrally_symmetric and checker.min_area_fraction - BOUNDARY_SLACK > 0.5:
@@ -142,8 +164,8 @@ def _no_region_chain(
     else:
         grow = foot.circumradius
     goal_bound = request.goal_tolerance + grow
-    for sx, sy in start_points:
-        if any(math.hypot(sx - gx, sy - gy) <= goal_bound for gx, gy in goal_points):
+    for start in start_feet:
+        if any(math.hypot(start.x - gx, start.y - gy) <= goal_bound for gx, gy in goal_points):
             return None
     step = checker.max_reach + BOUNDARY_SLACK + grow
 
@@ -151,48 +173,94 @@ def _no_region_chain(
         return step + grow if isinstance(item, PlanarRegion) else step
 
     def gap(item, region: PlanarRegion, cutoff: float = math.inf) -> float:
-        """Distance from a start point or a region to a region's hull, or a
+        """Distance from a start foot or a region to a region's hull, or a
         lower bound on it above `cutoff`."""
-        box = item.bounds_xy if isinstance(item, PlanarRegion) else (*item, *item)
+        if isinstance(item, PlanarRegion):
+            box = item.bounds_xy
+        else:
+            box = (item.x, item.y, item.x, item.y)
         lower = _box_gap(box, region.bounds_xy)
         if lower > cutoff:
             return lower
         if isinstance(item, PlanarRegion):
             return convex_sets_distance(item.hull_xy, region.hull_xy)
-        return point_to_convex_distance(item, region.hull_xy)
+        return point_to_convex_distance((item.x, item.y), region.hull_xy)
+
+    def heights(item) -> tuple[float, float]:
+        if isinstance(item, PlanarRegion):
+            a, b, _ = item.plane_coeffs
+            margin = grow * math.hypot(a, b) + REACH_SLACK
+            return item.z_min - margin, item.z_max + margin
+        return item.z, item.z
+
+    def climb(item, region: PlanarRegion) -> tuple[float, float, str]:
+        """The least rise or drop a step from `item` onto `region` takes
+        beyond its limit, that limit and the limit's name; the excess is at
+        most 0 when the step height allows the step."""
+        lo, hi = heights(item)
+        region_lo, region_hi = heights(region)
+        rise = region_lo - hi
+        if rise - checker.max_step_up > lo - region_hi - checker.max_step_down:
+            return rise - checker.max_step_up, checker.max_step_up, "rise"
+        return lo - region_hi - checker.max_step_down, checker.max_step_down, "drop"
+
+    def linked(item, region: PlanarRegion) -> bool:
+        limit = bound(item)
+        return gap(item, region, limit) <= limit and climb(item, region)[0] <= BOUNDARY_SLACK
 
     def at_goal(region: PlanarRegion) -> bool:
         return any(point_to_convex_distance(g, region.hull_xy) <= goal_bound for g in goal_points)
 
     unreached = [region for region in request.env.regions if region.snappable]
-    reached = list(start_points)
-    stack = list(start_points)
+    reached = list(start_feet)
+    stack = list(start_feet)
     while stack:
         item = stack.pop()
         if isinstance(item, PlanarRegion) and at_goal(item):
             return None
-        limit = bound(item)
-        linked = [region for region in unreached if gap(item, region, limit) <= limit]
-        unreached = [region for region in unreached if region not in linked]
-        reached += linked
-        stack += linked
+        links = [region for region in unreached if linked(item, region)]
+        unreached = [region for region in unreached if region not in links]
+        reached += links
+        stack += links
 
     if not any(at_goal(region) for region in unreached):
         return f"no standable region within {goal_bound:.2f} m of a goal foot"
+    pairs = [(item, region) for item in reached for region in unreached]
     nearest, limit = min(
-        ((gap(item, region), bound(item)) for item in reached for region in unreached),
+        ((gap(item, region), bound(item)) for item, region in pairs),
         key=lambda pair: pair[0] - pair[1],
     )
-    return f"no region chain within reach: nearest gap {nearest:.2f} m > bound {limit:.2f} m"
+    if nearest > limit:
+        return f"no region chain within reach: nearest gap {nearest:.2f} m > bound {limit:.2f} m"
+    excess, height_limit, kind = min(
+        climb(item, region) for item, region in pairs if gap(item, region) <= bound(item)
+    )
+    return (
+        f"no region chain within step height: least {kind} {excess + height_limit:.2f} m"
+        f" > limit {height_limit:.2f} m"
+    )
 
 
 class _Search:
-    """Single-search mutable state: scores, parents, frontier, and memo caches."""
+    """Single-search mutable state: scores, parents, frontier, and memo caches.
+
+    The frontier holds two kinds of entries, ordered by (f, h, seq):
+    - a scored node, (g + h, h, seq, node, None);
+    - a lazy edge, (g(parent) + lb + h(child), h(child), seq, child, parent),
+      where lb is `edge_cost_bounds`' lower bound on the step's cost.
+    An edge is pushed unscored when its parent is expanded, and snapped,
+    validated and costed only when it is popped. Each push takes the next
+    seq, and a scored node keeps the seq of the edge that scored it, so ties
+    break as in an eager search that scores every child on expansion. A
+    child whose foothold fails a check of its own gets h = inf, and no edge
+    into it is pushed again.
+    """
 
     def __init__(self, request: PlannerRequest):
         self.request = request
         self.g: dict[FootstepNode, float] = {}
         self.parent: dict[FootstepNode, FootstepNode | None] = {}
+        self.node_seq: dict[FootstepNode, int] = {}
         self.closed: set[FootstepNode] = set()
         self.frontier: list = []
         self.seq = 0
@@ -224,20 +292,68 @@ class _Search:
             self.h_memo[node] = cached
         return cached
 
-    def score(self, node: FootstepNode, g: float, parent: FootstepNode | None):
+    def score(self, node: FootstepNode, g: float, parent: FootstepNode | None, seq: int):
+        """Give `node` the score g through `parent` unless its score is lower
+        by more than 1e-12, or within 1e-12 and set by an edge of smaller seq
+        (the one an eager search would have scored first)."""
         old = self.g.get(node)
-        if old is not None and g >= old - 1e-12:
-            return
+        if old is not None:
+            if g > old + 1e-12 or (g >= old - 1e-12 and seq > self.node_seq[node]):
+                return
         self.g[node] = g
         self.parent[node] = parent
+        self.node_seq[node] = seq
         h = self.heuristic(node)
         key = (h, g)
         if self.best_key is None or key < self.best_key:
             self.best_key = key
             self.best_node = node
             self.tracker_history.append(h)
-        heapq.heappush(self.frontier, (g + h, h, self.seq, node))
-        self.seq += 1
+        heapq.heappush(self.frontier, (g + h, h, seq, node, None))
+
+    def push_edges(self, node: FootstepNode):
+        """Push a lazy edge from an expanded node to each open child that its
+        lower bound does not already rule out."""
+        request = self.request
+        node_g = self.g[node]
+        children = expand_node(node, request.lattice, request.expansion)
+        bounds = edge_cost_bounds(
+            request.lattice, request.expansion, request.cost, node.side, node.yaw_index
+        )
+        closed, g, h_memo, frontier = self.closed, self.g, self.h_memo, self.frontier
+        seq = self.seq
+        for child, bound in zip(children, bounds):
+            if child in closed:
+                continue
+            lower = node_g + bound
+            old = g.get(child)
+            if old is not None and lower >= old - 1e-12:
+                continue
+            h = h_memo.get(child)
+            if h is None:
+                h = self.heuristic(child)
+            elif h == math.inf:
+                continue  # its foothold failed a check of its own
+            heapq.heappush(frontier, (lower + h, h, seq, child, node))
+            seq += 1
+        self.seq = seq
+
+    def evaluate(self, parent: FootstepNode, child: FootstepNode, seq: int):
+        """Snap and validate a popped lazy edge; score its child if it is valid."""
+        request, stats = self.request, self.stats
+        stats.children_considered += 1
+        parent_snap = self.snap(parent)
+        child_snap = self.snap(child)
+        verdict = validate_edge(
+            parent_snap, child_snap, parent.side, request.env, request.checker, request.foot
+        )
+        if verdict is not None:
+            stats.children_rejected[verdict] += 1
+            if verdict in FOOTHOLD_REASONS:
+                self.h_memo[child] = math.inf  # no edge into it is pushed again
+            return
+        cost = edge_cost(parent_snap, child_snap, parent.side, request.cost)
+        self.score(child, self.g[parent] + cost, parent, seq)
 
     def chain(self, end: FootstepNode) -> list[FootstepNode]:
         nodes = [end]
@@ -283,43 +399,37 @@ def plan(request: PlannerRequest) -> PlannerResult:
     for node in start_nodes:
         if isinstance(search.snap(node), SnapFailure):
             return finish(PlanStatus.INVALID_START, None)
-    start_points = [(p.x, p.y) for p in (node_to_pose(n, request.lattice) for n in start_nodes)]
+    start_feet = [search.snap(node) for node in start_nodes]
     goal_points = [(p.x, p.y) for p in search.goal_feet.values()]
-    stats.no_path_reason = _no_region_chain(request, start_points, goal_points)
+    stats.no_path_reason = _no_region_chain(request, start_feet, goal_points)
     if stats.no_path_reason is not None:
         log.info("no path: %s", stats.no_path_reason)
         return finish(PlanStatus.NO_PATH_EXISTS, None)
-    for node in start_nodes:
-        search.score(node, 0.0, None)
+    for seq, node in enumerate(start_nodes):
+        search.score(node, 0.0, None, seq)
+    search.seq = len(start_nodes)
 
-    while search.frontier:
-        _, _, _, node = heapq.heappop(search.frontier)
-        if node in search.closed:
+    frontier, closed, g = search.frontier, search.closed, search.g
+    while frontier:
+        f, h, seq, node, parent = heapq.heappop(frontier)
+        if node in closed:
             continue
+        if parent is None:
+            if seq != search.node_seq[node]:
+                continue  # superseded by a better score
+        elif f - h >= g.get(node, math.inf) - 1e-12:
+            continue  # the edge's lower bound can no longer beat the node's score
         if time.monotonic() - t0 > request.timeout:
             return finish(PlanStatus.TIMED_OUT_BEST_EFFORT, search.best_node)
-        search.closed.add(node)
+        if parent is not None:
+            search.evaluate(parent, node, seq)
+            continue
+
+        closed.add(node)
         pose = node_to_pose(node, request.lattice)
         if _within_goal(pose, search.goal_feet[node.side], request):
             return finish(PlanStatus.FOUND_SOLUTION, node)
-
         stats.nodes_expanded += 1
-        parent_snap = search.snap(node)
-        assert isinstance(parent_snap, SnapResult)
-        node_g = search.g[node]
-        for child in expand_node(node, request.lattice, request.expansion):
-            if child in search.closed:
-                continue
-            stats.children_considered += 1
-            child_snap = search.snap(child)
-            verdict = validate_edge(
-                parent_snap, child_snap, node.side, request.env, request.checker, request.foot
-            )
-            if verdict is not None:
-                stats.children_rejected[verdict] += 1
-                continue
-            assert isinstance(child_snap, SnapResult)
-            cost = edge_cost(parent_snap, child_snap, node.side, request.cost)
-            search.score(child, node_g + cost, node)
+        search.push_edges(node)
 
     return finish(PlanStatus.NO_PATH_EXISTS, None)

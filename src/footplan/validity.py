@@ -41,6 +41,13 @@ class RejectionReason(enum.Enum):
     SELF_OVERLAP = "self_overlap"
 
 
+# The verdicts of the checks that read the child's foothold alone. They run
+# first, so a child that gets one gets it from every parent.
+FOOTHOLD_REASONS = frozenset(
+    (RejectionReason.UNSNAPPABLE, RejectionReason.TOO_STEEP, RejectionReason.INSUFFICIENT_AREA)
+)
+
+
 def _default_clearance() -> ConvexPolygon2:
     return rectangle_polygon(0.23, 0.115)
 

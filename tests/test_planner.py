@@ -17,7 +17,7 @@ from footplan.params import ParamsBundle
 from footplan.planner import PlannerRequest, PlanStatus, feet_from_midstance, plan
 from footplan.snapping import FootPolygon, SnapResult, default_foot, snap_pose
 from footplan.toolkit.generators import generate_environment
-from footplan.validity import CheckerParams, RejectionReason, validate_edge
+from footplan.validity import CheckerParams, validate_edge
 from footplan.world import Environment, PlanarRegion
 
 from test_snapping import recompose
@@ -131,30 +131,44 @@ def test_platform_gap_probe_answers_without_a_search():
     )
 
 
-def test_platform_above_step_height_still_exhausts_the_island():
-    # in plan view the platform is one short step away, so only the search
-    # can tell that it is 0.5 m up
-    env = Environment([
+def platform_step_world(height):
+    # in plan view the platform is one short step away from the start island
+    return Environment([
         flat_region(0, 1.0, 1.0),
-        flat_region(1, 1.0, 1.0, center=(1.1, 0.0), z=0.5),
+        flat_region(1, 1.0, 1.0, center=(1.1, 0.0), z=height),
     ])
-    result = plan(make_request(env, 0.0, Pose2(1.1, 0.0, 0.0)))
+
+
+def test_platform_above_step_height_is_ruled_out_before_the_search():
+    result = plan(make_request(platform_step_world(0.5), 0.0, Pose2(1.1, 0.0, 0.0)))
     assert result.status is PlanStatus.NO_PATH_EXISTS
+    assert result.stats.nodes_expanded == 0
+    assert result.stats.no_path_reason == (
+        "no region chain within step height: least rise 0.50 m > limit 0.35 m"
+    )
+
+
+def test_platform_within_step_height_is_searched_and_reached():
+    result = plan(make_request(platform_step_world(0.3), 0.0, Pose2(1.1, 0.0, 0.0)))
+    assert result.status is PlanStatus.FOUND_SOLUTION
     assert result.stats.nodes_expanded > 0
-    assert result.stats.children_rejected[RejectionReason.STEP_TOO_HIGH_OR_LOW] > 0
     assert result.stats.no_path_reason is None
+    assert result.steps[-1].snap.region_id == 1
+    assert result.steps[-1].snap.z == pytest.approx(0.3)
 
 
 def test_timeout_returns_best_effort_progress():
-    env = Environment([flat_region(0, 420.0, 2.0)])
-    goal = Pose2(100.0, 0.0, 0.0)
-    request = make_request(env, -100.0, goal, timeout=0.5)
+    # 200 km of 0.4 m strides is half a million expansions, far more than
+    # any machine makes in the half-second timeout
+    env = Environment([flat_region(0, 200_020.0, 2.0)])
+    goal = Pose2(100_000.0, 0.0, 0.0)
+    request = make_request(env, -100_000.0, goal, timeout=0.5)
     result = plan(request)
     assert result.status is PlanStatus.TIMED_OUT_BEST_EFFORT
     assert len(result.steps) >= 1
 
     final = result.steps[-1].snap.planar_pose
-    start_gap = math.hypot(goal.x - (-100.0), goal.y)
+    start_gap = math.hypot(goal.x - (-100_000.0), goal.y)
     final_gap = math.hypot(goal.x - final.x, goal.y - final.y)
     assert final_gap < start_gap
 
@@ -293,10 +307,11 @@ def test_region_check_keeps_a_request_solvable_at_its_bounds():
 @st.composite
 def region_worlds(draw):
     """A plan request along a chain of 1-4 regions: a start platform, then
-    tilted, multi-piece or wall regions whose gaps lie near the step reach,
-    a symmetric or lopsided sole and a support fraction on either side of
-    one half. Flat edges and gaps often fall on the lattice, so footholds
-    can sit right at an edge."""
+    tilted, multi-piece or wall regions whose gaps lie near the step reach
+    and whose heights are often near the step height limits, a symmetric or
+    lopsided sole and a support fraction on either side of one half. Flat
+    edges and gaps often fall on the lattice, so footholds can sit right at
+    an edge."""
     grid = st.integers(2, 10).map(lambda k: 0.05 * k)
     reach = draw(st.sampled_from((0.25, 0.3, 0.35, 0.4)))
     first = 0.1 * draw(st.integers(2, 6))
@@ -312,7 +327,8 @@ def region_worlds(draw):
             length += right
         offset = draw(st.one_of(st.sampled_from((-0.05, 0.0, 0.05)), st.floats(-0.1, 0.2)))
         x = edge + reach + offset + length / 2.0
-        center = np.array([x, draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.1, 0.1))])
+        z = draw(st.one_of(st.floats(-0.1, 0.1), st.floats(-0.6, 0.6)))
+        center = np.array([x, draw(st.floats(-0.2, 0.2)), z])
         if draw(st.integers(0, 4)) == 0:
             rotation = recompose(draw(st.floats(-math.pi, math.pi)), math.pi / 2.0, 0.0)
         else:
@@ -325,6 +341,7 @@ def region_worlds(draw):
     shift = 0.0 if draw(st.booleans()) else draw(st.floats(-0.3, 0.3)) * sole_length
     foot = FootPolygon(rectangle_polygon(sole_length, sole_width, center=(shift, 0.0)))
     fraction = draw(st.one_of(st.floats(0.3, 0.5), st.floats(0.501, 0.55), st.floats(0.55, 0.9)))
+    up, down = draw(st.sampled_from((0.25, 0.35))), draw(st.sampled_from((0.25, 0.35)))
     goal = Pose2(edge - draw(st.floats(0.0, 0.3)), draw(st.floats(-0.4, 0.4)), 0.0)
     return PlannerRequest(
         env=Environment(regions),
@@ -335,7 +352,9 @@ def region_worlds(draw):
         lattice=LatticeParams(xy_resolution=0.05, yaw_resolution=math.tau / 4),
         # straight-ahead steps, so the reach rather than the stance width binds
         expansion=replace(NARROW, min_width=0.0),
-        checker=CheckerParams(min_area_fraction=fraction, max_reach=reach),
+        checker=CheckerParams(
+            min_area_fraction=fraction, max_reach=reach, max_step_up=up, max_step_down=down
+        ),
         foot=foot,
     )
 
@@ -345,12 +364,15 @@ def region_worlds(draw):
 def test_region_check_rules_out_only_requests_the_search_cannot_solve(request):
     # the check's inputs exactly as `plan` builds them
     starts = [
-        node_to_pose(pose_to_node(pose, side, request.lattice), request.lattice)
+        snap_pose(
+            node_to_pose(pose_to_node(pose, side, request.lattice), request.lattice),
+            request.env,
+            request.foot,
+        )
         for pose, side in ((request.start_left, Side.LEFT), (request.start_right, Side.RIGHT))
     ]
     goals = feet_from_midstance(request.goal_midstance, request.cost.nominal_stance_width)
-    points = [[(p.x, p.y) for p in feet] for feet in (starts, goals)]
-    if planner._no_region_chain(request, *points) is None:
+    if planner._no_region_chain(request, starts, [(p.x, p.y) for p in goals]) is None:
         return
     with mock.patch.object(planner, "_no_region_chain", return_value=None):
         eager = plan(request)

@@ -459,13 +459,14 @@ def test_cli_plan_exit_codes(tmp_path, stable_env, capsys):
     invalid = json.loads(capsys.readouterr().out)
     assert invalid["status"] == "invalid_start"
 
-    runway = write_flat_env(tmp_path, "runway.json", length=420.0)
+    # 200 km of strides: no machine finishes it within the timeout
+    runway = write_flat_env(tmp_path, "runway.json", length=200_020.0)
     argv = [
         "plan",
         "--env", str(runway),
         "--params", str(params_path),
-        "--start=-100,0,0",
-        "--goal", "100,0,0",
+        "--start=-100000,0,0",
+        "--goal", "100000,0,0",
         "--timeout", "0.4",
     ]
     assert cli_main(argv) == 2
