@@ -1,16 +1,14 @@
 """2D convex polygons, half-plane sets, planar poses and 3D rigid transforms.
 
-Everything 2D is pure Python over float tuples: the polygons involved are
-tiny (4-8 vertices) and sit on the planner's hottest path, where tuple math
-beats array round-trips.
+Everything is pure Python over float tuples: the polygons involved are tiny
+(4-8 vertices) and sit on the planner's hottest path, where tuple math beats
+array round-trips. A 3D rotation is three row tuples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .constants import (
     BOUNDARY_SLACK,
@@ -21,6 +19,8 @@ from .constants import (
 )
 
 Point2 = tuple[float, float]
+Vector3 = tuple[float, float, float]
+Rotation3 = tuple[Vector3, Vector3, Vector3]  # row-major
 
 
 class GeometryError(ValueError):
@@ -399,37 +399,49 @@ def point_to_convex_distance(point, verts) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RigidTransform3:
-    """Proper rigid transform: rotation (3x3, orthonormal, det +1) + translation."""
+    """Proper rigid transform: rotation (three orthonormal rows, det +1) + translation.
 
-    rotation: np.ndarray
-    translation: np.ndarray
+    Any 3x3 and length-3 sequences are accepted; both are stored as float tuples.
+    """
+
+    rotation: Rotation3
+    translation: Vector3
 
     def __post_init__(self):
-        rot = np.array(self.rotation, dtype=float)
-        tr = np.array(self.translation, dtype=float)
-        if rot.shape != (3, 3):
-            raise GeometryError(f"rotation must be 3x3, got {rot.shape}")
-        if tr.shape != (3,):
-            raise GeometryError(f"translation must be length 3, got {tr.shape}")
-        if not np.all(np.isfinite(rot)) or not np.all(np.isfinite(tr)):
+        rot = tuple(tuple(float(v) for v in row) for row in self.rotation)
+        tr = tuple(float(v) for v in self.translation)
+        if len(rot) != 3 or any(len(row) != 3 for row in rot):
+            shape = (len(rot), *sorted({len(row) for row in rot}))
+            raise GeometryError(f"rotation must be 3x3, got {shape}")
+        if len(tr) != 3:
+            raise GeometryError(f"translation must be length 3, got {(len(tr),)}")
+        if not all(math.isfinite(v) for v in (*rot[0], *rot[1], *rot[2], *tr)):
             raise GeometryError("transform entries must be finite")
-        err = np.abs(rot.T @ rot - np.eye(3)).max()
+        columns = tuple(zip(*rot))
+        err = max(
+            abs(sum(a * b for a, b in zip(columns[i], columns[j])) - (i == j))
+            for i in range(3)
+            for j in range(3)
+        )
         if err > ROTATION_TOL * 10:
             raise GeometryError(f"rotation is not orthonormal (error {err:g})")
-        det = float(np.linalg.det(rot))
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
+        det = (
+            r00 * (r11 * r22 - r12 * r21)
+            - r01 * (r10 * r22 - r12 * r20)
+            + r02 * (r10 * r21 - r11 * r20)
+        )
         if abs(det - 1.0) > ROTATION_TOL * 10:
             raise GeometryError(f"rotation determinant {det:g} != 1")
-        rot.setflags(write=False)
-        tr.setflags(write=False)
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", tr)
 
 
-def rotation_z(yaw: float) -> np.ndarray:
+def rotation_z(yaw: float) -> Rotation3:
     c, s = math.cos(yaw), math.sin(yaw)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))
 
 
-def yaw_of_rotation(rotation: np.ndarray) -> float:
+def yaw_of_rotation(rotation: Rotation3) -> float:
     """Yaw of a Rz(yaw) @ Ry(pitch) @ Rx(roll) factorization (|pitch| < pi/2)."""
-    return math.atan2(rotation[1, 0], rotation[0, 0])
+    return math.atan2(rotation[1][0], rotation[0][0])

@@ -11,8 +11,6 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from .costing import CostParams
 from .geometry import ConvexPolygon2, GeometryError, Pose2
 from .lattice import ExpansionParams, LatticeParams
@@ -87,12 +85,11 @@ _ALL_KEYS = (
 )
 
 
-def _float_of(doc: dict, key: str) -> float:
-    value = doc[key]
+def _float_of(value, name: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParamsError(f"{key} must be a number")
+        raise ParamsError(f"{name} must be a number")
     if not math.isfinite(float(value)):
-        raise ParamsError(f"{key} must be finite")
+        raise ParamsError(f"{name} must be finite")
     return float(value)
 
 
@@ -120,7 +117,7 @@ def load_params(document) -> ParamsBundle:
         out = {}
         for key in keys:
             if key in document:
-                out[key[len(strip):] if strip else key] = _float_of(document, key)
+                out[key[len(strip):] if strip else key] = _float_of(document[key], key)
         return out
 
     try:
@@ -133,10 +130,12 @@ def load_params(document) -> ParamsBundle:
         cost = CostParams(**group(_COST_KEYS))
         wiggle_kwargs = group(_WIGGLE_KEYS, strip="wiggle_")
         if "wiggle_weights" in document:
-            diag = [float(v) for v in document["wiggle_weights"]]
-            if len(diag) != 3:
-                raise ParamsError("wiggle_weights must have 3 diagonal entries")
-            wiggle_kwargs["weights"] = np.diag(diag)
+            diag = document["wiggle_weights"]
+            if not isinstance(diag, list) or len(diag) != 3:
+                raise ParamsError("wiggle_weights must be a list of 3 diagonal entries")
+            wiggle_kwargs["weights"] = tuple(
+                _float_of(v, f"wiggle_weights[{i}]") for i, v in enumerate(diag)
+            )
         wiggle = WiggleParams(**wiggle_kwargs)
         foot = (
             FootPolygon(_polygon_of(document, "foot_sole"))
@@ -150,14 +149,7 @@ def load_params(document) -> ParamsBundle:
             cost,
             wiggle,
             foot,
-            goal_tolerance=(
-                _float_of(document, "goal_tolerance") if "goal_tolerance" in document else 0.2
-            ),
-            goal_tolerance_yaw=(
-                _float_of(document, "goal_tolerance_yaw")
-                if "goal_tolerance_yaw" in document
-                else 0.3
-            ),
+            **group(_SCALAR_EXTRAS),
         )
     except ParamsError:
         raise
@@ -171,7 +163,7 @@ def params_to_dict(bundle: ParamsBundle) -> dict:
         "goal_tolerance_yaw": bundle.goal_tolerance_yaw,
         "foot_sole": [[x, y] for x, y in bundle.foot.sole.vertices],
         "stance_clearance": [[x, y] for x, y in bundle.checker.stance_clearance.vertices],
-        "wiggle_weights": [float(v) for v in np.diag(bundle.wiggle.weights)],
+        "wiggle_weights": list(bundle.wiggle.weights),
     }
     for group, keys, prefix in (
         (bundle.lattice, _LATTICE_KEYS, ""),

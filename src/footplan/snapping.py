@@ -16,15 +16,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 from .constants import DUPLICATE_VERTEX_TOL, SLIVER_AREA, SNAP_HEIGHT_TIE
 from .geometry import (
     ConvexPolygon2,
     GeometryError,
     Point2,
     Pose2,
-    RigidTransform3,
+    Rotation3,
     clip_area,
     clip_vertices,
     rectangle_polygon,
@@ -70,7 +68,7 @@ class SnapResult:
     """A foothold: the sole center (x, y, z) on region `region_id`, its yaw
     about world z and the plane's roll and pitch.
 
-    `rotation` is the shared, read-only rotation of `align_to_normal`'s cache.
+    `rotation` holds the rows of `align_to_normal`'s rotation.
     `sole` is the snapped sole in world xy and `piece_index` the region piece
     it overlaps most (None when it overlaps none).
     """
@@ -84,7 +82,7 @@ class SnapResult:
     region_id: int
     cropped_foothold: ConvexPolygon2 | None
     area_fraction: float
-    rotation: np.ndarray
+    rotation: Rotation3
     sole: tuple[Point2, ...]
     piece_index: int | None
 
@@ -96,14 +94,9 @@ class SnapResult:
     def planar_pose(self) -> Pose2:
         return Pose2(self.x, self.y, self.yaw)
 
-    @property
-    def foothold_pose(self) -> RigidTransform3:
-        """The foothold as a validated rigid transform, built on each call."""
-        return RigidTransform3(self.rotation, np.array(self.center))
-
     def to_world(self, points) -> tuple[Point2, ...]:
         """Foot-frame points placed in world xy, as the sole is."""
-        return _to_world(self.rotation.tolist(), self.x, self.y, points)
+        return _to_world(self.rotation, self.x, self.y, points)
 
 
 class SnapFailureReason(enum.Enum):
@@ -126,23 +119,25 @@ def _align_cached(yaw: float, nx: float, ny: float, nz: float):
     pitch = math.atan2(mx, mz)
     cos_p, sin_p = math.cos(pitch), math.sin(pitch)
     cos_r, sin_r = math.cos(roll), math.sin(roll)
-    tilt = np.array(
-        [
-            [cos_p, sin_p * sin_r, sin_p * cos_r],
-            [0.0, cos_r, -sin_r],
-            [-sin_p, cos_p * sin_r, cos_p * cos_r],
-        ]
+    tilt = (
+        (cos_p, sin_p * sin_r, sin_p * cos_r),
+        (0.0, cos_r, -sin_r),
+        (-sin_p, cos_p * sin_r, cos_p * cos_r),
     )
-    rotation = rotation_z(yaw) @ tilt
-    rotation.setflags(write=False)
+    # Rz(yaw) @ tilt in plain floats, so the rounding does not depend on which
+    # BLAS kernel the CPU gets; + 0.0 turns a -0.0 entry into 0.0, as a BLAS
+    # product writes it.
+    rotation = tuple(
+        tuple(a * t0 + b * t1 + c * t2 + 0.0 for t0, t1, t2 in zip(*tilt))
+        for a, b, c in rotation_z(yaw)
+    )
     return rotation, roll, pitch
 
 
-def align_to_normal(yaw: float, up_normal) -> tuple[np.ndarray, float, float]:
+def align_to_normal(yaw: float, up_normal) -> tuple[Rotation3, float, float]:
     """Rotation Rz(yaw)*Ry(pitch)*Rx(roll) whose z-axis equals up_normal.
 
-    Results are cached per (yaw, normal); the returned rotation is shared and
-    must not be mutated.
+    Results are cached per (yaw, normal).
     """
     return _align_cached(
         yaw, float(up_normal[0]), float(up_normal[1]), float(up_normal[2])
@@ -169,9 +164,8 @@ def crop_foothold(
     """
     z = plane_height_at(region, x, y)
     rotation, roll, pitch = align_to_normal(yaw, region.up_normal)
-    rows = rotation.tolist()
-    sole = _to_world(rows, x, y, foot.sole.vertices)
-    (l00, l01, _), (l10, l11, _), _ = rows
+    sole = _to_world(rotation, x, y, foot.sole.vertices)
+    (l00, l01, _), (l10, l11, _), _ = rotation
     det = l00 * l11 - l01 * l10
 
     cropped = None
@@ -229,7 +223,7 @@ def snap_pose(pose: Pose2, env: Environment, foot: FootPolygon) -> SnapResult | 
     for region in touching:
         center_z = plane_height_at(region, pose.x, pose.y)
         rotation, _, _ = align_to_normal(pose.yaw, region.up_normal)
-        r20, r21 = float(rotation[2, 0]), float(rotation[2, 1])
+        r20, r21, _ = rotation[2]
         top_z = center_z + max(r20 * u + r21 * v for u, v in foot.sole.vertices)
         candidates.append((top_z, region.region_id, region))
 

@@ -116,8 +116,8 @@ def _plan_document(result, steps) -> dict:
         "steps": [
             {
                 "side": step.side.value,
-                "translation": [float(v) for v in step.snap.center],
-                "rotation": step.snap.rotation.ravel().tolist(),
+                "translation": list(step.snap.center),
+                "rotation": [v for row in step.snap.rotation for v in row],
                 "area_fraction": float(step.snap.area_fraction),
                 "foothold": (
                     [[float(x), float(y)] for x, y in step.snap.cropped_foothold.vertices]

@@ -5,15 +5,13 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
-
 from ..geometry import ConvexPolygon2, RigidTransform3, rectangle_polygon, rotation_z
 from ..world import Environment, PlanarRegion, WorldLoadError
 
 
 def _flat_region(region_id: int, length: float, width: float, center, z: float,
                  yaw: float = 0.0) -> PlanarRegion:
-    transform = RigidTransform3(rotation_z(yaw), np.array([center[0], center[1], z]))
+    transform = RigidTransform3(rotation_z(yaw), (center[0], center[1], z))
     return PlanarRegion(region_id, transform, [rectangle_polygon(length, width)])
 
 
@@ -21,12 +19,12 @@ def _wall_region_x(region_id: int, x: float, y_lo: float, y_hi: float,
                    z_top: float) -> PlanarRegion:
     # Rotating the region plane by 90 deg about world y makes it vertical:
     # region u maps to world -z and region v to world y.
-    rotation = np.array([
-        [0.0, 0.0, 1.0],
-        [0.0, 1.0, 0.0],
-        [-1.0, 0.0, 0.0],
-    ])
-    transform = RigidTransform3(rotation, np.array([x, 0.0, 0.0]))
+    rotation = (
+        (0.0, 0.0, 1.0),
+        (0.0, 1.0, 0.0),
+        (-1.0, 0.0, 0.0),
+    )
+    transform = RigidTransform3(rotation, (x, 0.0, 0.0))
     piece = ConvexPolygon2([(-z_top, y_lo), (0.0, y_lo), (0.0, y_hi), (-z_top, y_hi)])
     return PlanarRegion(region_id, transform, [piece])
 
@@ -34,12 +32,12 @@ def _wall_region_x(region_id: int, x: float, y_lo: float, y_hi: float,
 def _wall_region_y(region_id: int, y: float, x_lo: float, x_hi: float,
                    z_top: float) -> PlanarRegion:
     # Vertical plane facing world y: region u maps to world x, v to world z.
-    rotation = np.array([
-        [1.0, 0.0, 0.0],
-        [0.0, 0.0, -1.0],
-        [0.0, 1.0, 0.0],
-    ])
-    transform = RigidTransform3(rotation, np.array([0.0, y, 0.0]))
+    rotation = (
+        (1.0, 0.0, 0.0),
+        (0.0, 0.0, -1.0),
+        (0.0, 1.0, 0.0),
+    )
+    transform = RigidTransform3(rotation, (0.0, y, 0.0))
     piece = ConvexPolygon2([(x_lo, 0.0), (x_hi, 0.0), (x_hi, z_top), (x_lo, z_top)])
     return PlanarRegion(region_id, transform, [piece])
 

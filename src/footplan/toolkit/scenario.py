@@ -86,6 +86,8 @@ def load_scenario_script(document) -> ScenarioScript:
         if not isinstance(entry, dict) or "time" not in entry or "action" not in entry:
             raise ScenarioError(f"event {idx}: needs time and action")
         time = _number(entry["time"], f"event {idx}: time")
+        if not math.isfinite(time):
+            raise ScenarioError(f"event {idx}: time must be finite, got {time!r}")
         action = str(entry["action"])
         if action == "add-region":
             if "region" not in entry:
@@ -111,13 +113,16 @@ def load_scenario_script(document) -> ScenarioScript:
     timeout = _number(document.get("timeout", 1.0), "timeout")
     if not timeout > 0:
         raise ScenarioError(f"timeout must be above zero, got {timeout!r}")
+    replan_period = _number(document.get("replan_period", 1.0), "replan_period")
+    if not 0 < replan_period < math.inf:
+        raise ScenarioError(f"replan_period must be finite and above zero, got {replan_period!r}")
     return ScenarioScript(
         environment=environment,
         start_left=start_left,
         start_right=start_right,
         goal=goal,
         events=tuple(events),
-        replan_period=_number(document.get("replan_period", 1.0), "replan_period"),
+        replan_period=replan_period,
         timeout=timeout,
         max_ticks=_number(document.get("max_ticks", 120), "max_ticks", int),
         params=params,

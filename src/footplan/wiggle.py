@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -24,25 +24,27 @@ from .snapping import FootPolygon, crop_foothold
 from .world import Environment
 
 
-def _default_weights() -> np.ndarray:
-    return np.diag([1.0, 1.0, 0.05])
-
-
 @dataclass(frozen=True)
 class WiggleParams:
+    """`weights` is the diagonal of the objective's W, for (x, y, theta)."""
+
     inset_distance: float = 0.02
     max_translation: float = 0.02
     max_rotation: float = math.radians(5.0)
-    weights: np.ndarray = field(default_factory=_default_weights)
+    weights: tuple[float, float, float] = (1.0, 1.0, 0.05)
 
     def __post_init__(self):
         if self.inset_distance < 0:
             raise ValueError("inset_distance must be non-negative")
         if self.max_translation <= 0 or self.max_rotation <= 0:
             raise ValueError("shift bounds must be positive")
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (3, 3) or not np.allclose(w, np.diag(np.diag(w))) or np.any(np.diag(w) <= 0):
-            raise ValueError("weights must be a positive diagonal 3x3 matrix")
+        try:
+            weights = tuple(float(w) for w in self.weights)
+        except (TypeError, ValueError):
+            weights = ()
+        if len(weights) != 3 or not all(0.0 < w < math.inf for w in weights):
+            raise ValueError("weights must be three positive finite numbers")
+        object.__setattr__(self, "weights", weights)
 
 
 @dataclass(frozen=True)
@@ -78,16 +80,9 @@ def _inset_qps(
     rows = np.vstack(rows)
     a_dot_x = np.concatenate(a_dot_x)
     offsets = np.tile(planes.offsets, len(foothold.vertices))
-    weights = np.asarray(params.weights, dtype=float)
+    weights = np.diag(params.weights)
     bound = np.array([params.max_translation, params.max_translation, params.max_rotation])
     return lambda d: WiggleQP(weights, rows, offsets - d - a_dot_x, -bound, bound)
-
-
-def build_wiggle_qp(
-    foothold: ConvexPolygon2, region_piece: ConvexPolygon2, params: WiggleParams
-) -> WiggleQP:
-    """Vertex-containment QP for q = (v_x, v_y, theta) at params.inset_distance."""
-    return _inset_qps(foothold, region_piece, params)(params.inset_distance)
 
 
 # Guard only: each step activates the most violated row or drops an active
@@ -189,10 +184,6 @@ class WiggleOutcome:
     translation: tuple[float, float]
     rotation: float
     inset_used: float | None
-
-    @property
-    def shift_magnitude(self) -> float:
-        return math.hypot(*self.translation)
 
 
 def wiggle_step(

@@ -7,8 +7,6 @@ import logging
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .constants import NEAR_VERTICAL_NZ, PIECE_OVERLAP_LIMIT
 from .geometry import (
     ConvexPolygon2,
@@ -60,8 +58,8 @@ class PlanarRegion:
                         f"region {self.region_id}: pieces {i} and {j} overlap by {overlap:g} m^2"
                     )
 
-        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = transform_to_world.rotation.tolist()
-        tx, ty, tz = transform_to_world.translation.tolist()
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = transform_to_world.rotation
+        tx, ty, tz = transform_to_world.translation
         nx, ny, nz = (r02, r12, r22) if r22 >= 0 else (-r02, -r12, -r22)  # support normal up
         self.up_normal: tuple[float, float, float] = (nx, ny, nz)
         self.snappable: bool = abs(r22) > NEAR_VERTICAL_NZ
@@ -252,9 +250,9 @@ def load_environment(document) -> Environment:
             raise WorldLoadError(f"{label}: rotation must have 9 entries (row-major)")
         if not all(math.isfinite(v) for v in translation + rotation_flat):
             raise WorldLoadError(f"{label}: non-finite transform entry")
-        rotation = np.array(rotation_flat, dtype=float).reshape(3, 3)
+        rotation = (rotation_flat[0:3], rotation_flat[3:6], rotation_flat[6:9])
         try:
-            transform = RigidTransform3(rotation, np.array(translation))
+            transform = RigidTransform3(rotation, translation)
         except GeometryError as exc:
             raise WorldLoadError(f"{label}: {exc}") from None
         if not isinstance(pieces_doc, list) or not pieces_doc:
@@ -279,8 +277,8 @@ def environment_to_dict(env: Environment) -> dict:
         regions.append(
             {
                 "id": region.region_id,
-                "translation": [float(v) for v in region.transform_to_world.translation],
-                "rotation": [float(v) for v in region.transform_to_world.rotation.reshape(-1)],
+                "translation": list(region.transform_to_world.translation),
+                "rotation": [v for row in region.transform_to_world.rotation for v in row],
                 "pieces": [[[x, y] for x, y in piece.vertices] for piece in region.pieces],
             }
         )

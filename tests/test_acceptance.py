@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from footplan.constants import QP_KKT_TOL
 from footplan.costing import CostParams, edge_cost
 from footplan.geometry import (
     Pose2,
@@ -33,10 +34,11 @@ from footplan.snapping import SnapFailure, SnapResult, default_foot, snap_node, 
 from footplan.toolkit.generators import generate_environment
 from footplan.toolkit.scenario import load_scenario_script, run_anytime_scenario
 from footplan.validity import CheckerParams, check_body_box, midstance_pose, validate_edge
-from footplan.wiggle import WiggleParams, build_wiggle_qp, kkt_residual, solve_qp3, wiggle_step
+from footplan.wiggle import WiggleParams, kkt_residual, solve_qp3, wiggle_step
 from footplan.world import Environment, PlanarRegion, environment_to_dict
 
 from test_geometry import min_inside_distance, random_convex_polygon
+from test_wiggle import build_wiggle_qp
 
 FOOT = default_foot()
 
@@ -46,7 +48,6 @@ OPTIMALITY_BUDGET_S = 10.0
 SUBOPTIMALITY_FACTOR = 1.5
 SUBOPTIMALITY_MARGIN = 1e-9
 QP_CASES = 100
-QP_KKT_TOL = 1e-8
 QP_OBJECTIVE_MARGIN = 1e-9
 IDEMPOTENCE_CASES = 25
 IDEMPOTENCE_TOL = 1e-9
@@ -69,9 +70,15 @@ def flat(region_id, length, width, center=(0.0, 0.0), z=0.0):
     return PlanarRegion(region_id, pose, [rectangle_polygon(length, width)])
 
 
+def foothold_pose(snap):
+    """Oracle helper: the snapped foothold as a validated rigid transform."""
+    return RigidTransform3(snap.rotation, snap.center)
+
+
 def sole_vertices_world(snap):
-    rotation = snap.foothold_pose.rotation[:2, :2]
-    offset = snap.foothold_pose.translation[:2]
+    pose = foothold_pose(snap)
+    rotation = np.array(pose.rotation)[:2, :2]
+    offset = np.array(pose.translation)[:2]
     return [tuple(rotation @ (u, v) + offset) for u, v in FOOT.sole.vertices]
 
 
@@ -267,8 +274,9 @@ def test_criterion_2_adjustment_qps_certified_and_idempotent():
             failures.append(f"settle {index}: inset {first.inset_used}")
             continue
         second = wiggle_step(first.step, env, FOOT, params)
-        if second.shift_magnitude > IDEMPOTENCE_TOL or abs(second.rotation) > IDEMPOTENCE_TOL:
-            failures.append(f"settle {index}: moved again {second.shift_magnitude:.2e}")
+        shift = math.hypot(*second.translation)
+        if shift > IDEMPOTENCE_TOL or abs(second.rotation) > IDEMPOTENCE_TOL:
+            failures.append(f"settle {index}: moved again {shift:.2e}")
         else:
             settled += 1
     report(

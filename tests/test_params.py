@@ -4,7 +4,6 @@ import json
 import math
 from dataclasses import fields
 
-import numpy as np
 import pytest
 
 from footplan.costing import CostParams
@@ -50,7 +49,7 @@ def test_overrides_apply_to_each_group():
     assert bundle.checker.max_forward == 0.4
     assert bundle.cost.w_distance == 2.0
     assert bundle.wiggle.max_translation == 0.03
-    assert np.allclose(bundle.wiggle.weights, np.diag([2.0, 2.0, 0.1]))
+    assert bundle.wiggle.weights == (2.0, 2.0, 0.1)
     assert bundle.goal_tolerance == 0.1
     assert bundle.checker.stance_clearance.vertices[0] == (0.1, 0.05)
     assert bundle.foot.sole.vertices[0] == (0.1, 0.06)
@@ -119,10 +118,15 @@ def test_malformed_documents():
 
 
 def test_wiggle_weights_need_three_entries():
-    with pytest.raises(ParamsError, match="3 diagonal entries"):
-        load_params({"wiggle_weights": [1.0, 1.0]})
+    for bad in ([1.0, 1.0], 5):
+        with pytest.raises(ParamsError, match="3 diagonal entries"):
+            load_params({"wiggle_weights": bad})
     with pytest.raises(ParamsError):
         load_params({"wiggle_weights": [1.0, 1.0, -0.5]})
+    with pytest.raises(ParamsError, match=r"wiggle_weights\[0\] must be a number"):
+        load_params({"wiggle_weights": [True, 1.0, 1.0]})
+    with pytest.raises(ParamsError, match=r"wiggle_weights\[0\] must be finite"):
+        load_params('{"wiggle_weights": [Infinity, 1.0, 1.0]}')
 
 
 def test_group_validation_becomes_params_error():

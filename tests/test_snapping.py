@@ -32,7 +32,7 @@ from footplan.snapping import (
 from footplan.wiggle import WiggleParams, wiggle_step
 from footplan.world import Environment, PlanarRegion
 
-from test_acceptance import sole_vertices_world
+from test_acceptance import foothold_pose, sole_vertices_world
 from test_world import flat_region, rotation_about_y
 
 
@@ -53,19 +53,24 @@ FOOT = default_foot()
 # Alignment
 
 
-def test_align_recomposes_and_matches_normal():
-    rng = random.Random(5)
-    for _ in range(40):
-        yaw = rng.uniform(-math.pi, math.pi)
-        # random unit normal tilted well away from horizontal
-        nx, ny = rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6)
-        nz = math.sqrt(max(1e-6, 1.0 - nx * nx - ny * ny))
-        rotation, roll, pitch = align_to_normal(yaw, (nx, ny, nz))
-        assert np.allclose(rotation, recompose(yaw, pitch, roll), atol=1e-12)
-        assert np.allclose(rotation @ rotation.T, np.eye(3), atol=1e-12)
-        assert rotation[:, 2] == pytest.approx([nx, ny, nz], abs=1e-12)
-        # yaw about world z is preserved
-        assert math.atan2(rotation[1, 0], rotation[0, 0]) == pytest.approx(yaw, abs=1e-12)
+@settings(max_examples=300)
+@given(
+    st.floats(-math.pi, math.pi),
+    # a unit normal tilted well away from horizontal
+    st.floats(-0.6, 0.6),
+    st.floats(-0.6, 0.6),
+)
+def test_align_recomposes_and_matches_normal(yaw, nx, ny):
+    nz = math.sqrt(1.0 - nx * nx - ny * ny)
+    rows, roll, pitch = align_to_normal(yaw, (nx, ny, nz))
+    rotation = np.array(rows)
+    # the numpy product of the same factors, up to its rounding
+    tilt = rotation_about_y(pitch) @ rotation_about_x(roll)
+    np.testing.assert_allclose(rotation, np.array(rotation_z(yaw)) @ tilt, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rotation @ rotation.T, np.eye(3), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rotation[:, 2], [nx, ny, nz], rtol=0, atol=1e-12)
+    # yaw about world z is preserved
+    assert math.atan2(rows[1][0], rows[0][0]) == pytest.approx(yaw, abs=1e-12)
 
 
 def test_align_flat_is_pure_yaw():
@@ -125,9 +130,7 @@ def test_snap_ten_degree_incline():
     assert snap.surface_roll == pytest.approx(0.0, abs=1e-9)
     # center sits on the plane: z = -tan(pitch) * x
     assert snap.center[2] == pytest.approx(-math.tan(pitch) * 0.3, abs=1e-9)
-    assert np.allclose(
-        snap.foothold_pose.rotation, recompose(0.0, pitch, 0.0), atol=1e-9
-    )
+    assert np.allclose(snap.rotation, recompose(0.0, pitch, 0.0), atol=1e-9)
 
 
 def test_snap_failure_reasons():
@@ -271,11 +274,11 @@ def test_snap_result_is_one_consistent_foothold(case):
     # the stored sole is the sole placed by the snapped rigid transform
     for placed, oracle in zip(snap.sole, sole_vertices_world(snap), strict=True):
         assert placed == pytest.approx(oracle, abs=1e-12)
-    # the on-demand transform carries the plain floats and the rotation unchanged
-    transform = snap.foothold_pose
-    assert tuple(transform.translation) == snap.center
-    assert np.array_equal(transform.rotation, snap.rotation)
-    assert math.atan2(transform.rotation[1, 0], transform.rotation[0, 0]) == snap.yaw
+    # a validated rigid transform carries the plain floats and the rotation unchanged
+    transform = foothold_pose(snap)
+    assert transform.translation == snap.center
+    assert transform.rotation == snap.rotation
+    assert math.atan2(transform.rotation[1][0], transform.rotation[0][0]) == snap.yaw
     assert snap.planar_pose == Pose2(snap.x, snap.y, snap.yaw)
 
     outcome = wiggle_step(PlanStep(Side.LEFT, snap), env, FOOT, WiggleParams())

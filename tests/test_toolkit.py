@@ -1,15 +1,19 @@
 """Toolkit surface: generators, scenario runner, benchmark CSV, SVG, CLI."""
 
+import ast
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import footplan
 from footplan.geometry import Pose2, RigidTransform3, rectangle_polygon
 from footplan.lattice import Side
 from footplan.planner import PlanStep, plan
@@ -34,6 +38,7 @@ from footplan.world import (
     environment_to_json,
 )
 
+from test_snapping import recompose
 from test_world import flat_region, rotation_about_y
 
 NARROW_PARAMS = {
@@ -207,6 +212,13 @@ def test_scenario_script_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ScenarioError, match="start_left"):
             load_scenario_script(dict(good, start_left=[bad, 0.1, 0.0]))
+        with pytest.raises(ScenarioError, match="time must be finite"):
+            load_scenario_script(
+                scenario_doc(env, 0.0, (0.5, 0.0, 0.0), [{"time": bad, "action": "remove-region", "id": 0}])
+            )
+    for period in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ScenarioError, match="replan_period"):
+            load_scenario_script(dict(good, replan_period=period))
 
 
 def test_scenario_removing_a_missing_region_fails_at_runtime():
@@ -485,6 +497,11 @@ def test_cli_input_errors_exit_4(tmp_path, stable_env, capsys):
     )
     bad_suite = tmp_path / "bad_suite.json"
     bad_suite.write_text(json.dumps({"entries": [dict(suite_doc()["entries"][0], timeout="abc")]}))
+    bad_weights = []
+    for index, weights in enumerate((5, [True, 1, 1], [math.inf, 1, 1])):
+        path = tmp_path / f"bad_weights{index}.json"
+        path.write_text(json.dumps({"wiggle_weights": weights}))
+        bad_weights.append(plan + ["--start", "0,0,0", "--goal", "1,0,0", "--params", str(path)])
     cases = [
         plan + ["--start", "0,0,0", "--goal", "1,0,0", "--timeout", "0"],
         plan + ["--start", "0,0,0", "--goal", "1,0,0", "--timeout", "-1"],
@@ -502,6 +519,7 @@ def test_cli_input_errors_exit_4(tmp_path, stable_env, capsys):
         ["gen", "--kind", "flat", "--seed", "zero", "--out", str(tmp_path / "x.json")],
         ["bench", "--suite", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.csv")],
         ["anytime", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.json")],
+        *bad_weights,
     ]
     for argv in cases:
         assert cli_main(argv) == 4, argv
@@ -630,3 +648,59 @@ def test_cli_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().strip() == "False"
+
+
+def test_numpy_is_imported_only_by_the_wiggle_qp():
+    # numpy's 3x3 products round differently under each BLAS kernel, so every
+    # other module works on float tuples and its answers depend only on inputs
+    package = Path(footplan.__file__).parent
+    importers = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "numpy" for m in modules):
+                importers.add(path.relative_to(package).as_posix())
+    assert importers == {"wiggle.py"}
+
+
+def tilted_block_world(seed):
+    """Ground, a 3 x 3 field of 0.4 m blocks with drawn yaw, pitch and roll, ground."""
+    rng = random.Random(seed)
+    tilt = math.radians(12.0)
+    regions = [flat_region(0, 1.0, 1.6, center=(-0.6, 0.0))]
+    for index in range(9):
+        rotation = recompose(rng.uniform(-0.26, 0.26), rng.uniform(-tilt, tilt), rng.uniform(-tilt, tilt))
+        center = (0.4 + 0.45 * (index // 3), -0.45 + 0.45 * (index % 3), rng.uniform(0.0, 0.1))
+        regions.append(PlanarRegion(index + 1, RigidTransform3(rotation, center), [rectangle_polygon(0.4, 0.4)]))
+    regions.append(flat_region(10, 1.0, 1.6, center=(2.15, 0.0)))
+    return Environment(regions)
+
+
+def test_cli_plan_does_not_depend_on_the_blas_kernel(tmp_path):
+    # numpy rounds a 3x3 product by whichever OpenBLAS kernel the CPU gets
+    # (with FMA or without), so the search's rotations are plain float
+    # products. Prescott runs on every x86-64 CPU.
+    env_path = tmp_path / "tilted.json"
+    env_path.write_text(environment_to_json(tilted_block_world(0)))
+    argv = [
+        sys.executable, "-m", "footplan", "plan",
+        "--env", str(env_path),
+        "--start=-0.5,0,0",
+        "--goal", "2.15,0,0",
+        "--no-wiggle",
+    ]
+    outputs = []
+    for kernel in (None, "Prescott"):
+        run_env = dict(os.environ, FSP_STABLE_TIMING="1")
+        run_env.pop("OPENBLAS_CORETYPE", None)
+        if kernel is not None:
+            run_env["OPENBLAS_CORETYPE"] = kernel
+        proc = subprocess.run(argv, capture_output=True, env=run_env, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

@@ -340,7 +340,7 @@ def oracle_polytope_hits_piece(
 
 def oracle_world_pieces(region):
     """The region's pieces lifted to world with numpy, and its upward normal."""
-    rotation = region.transform_to_world.rotation
+    rotation = np.array(region.transform_to_world.rotation)
     normal = rotation[:, 2].copy()
     if normal[2] < 0:
         normal = -normal

@@ -16,7 +16,7 @@ from footplan.planner import PlanStep
 from footplan.snapping import SnapResult, default_foot, snap_pose
 from footplan.wiggle import (
     WiggleParams,
-    build_wiggle_qp,
+    _inset_qps,
     kkt_residual,
     solve_qp3,
     wiggle_plan,
@@ -34,6 +34,11 @@ def snapped_step(x, y, yaw, env, side=Side.LEFT):
     snap = snap_pose(Pose2(x, y, yaw), env, FOOT)
     assert isinstance(snap, SnapResult)
     return PlanStep(side, snap)
+
+
+def build_wiggle_qp(foothold, region_piece, params):
+    """Oracle helper: the vertex-containment QP at params.inset_distance."""
+    return _inset_qps(foothold, region_piece, params)(params.inset_distance)
 
 
 def objective(qp, q):
@@ -192,7 +197,7 @@ def wiggle_qps(draw):
         inset_distance=draw(st.floats(0.0, 0.03)),
         max_translation=draw(st.floats(0.005, 0.1)),
         max_rotation=draw(st.floats(0.01, 0.3)),
-        weights=np.diag([draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0)), draw(st.floats(0.01, 1.0))]),
+        weights=(draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0)), draw(st.floats(0.01, 1.0))),
     )
     return build_wiggle_qp(sole, piece, params)
 
@@ -243,13 +248,9 @@ def test_wiggle_pulls_an_overhanging_foot_inside():
     assert outcome.translation[1] == pytest.approx(0.0, abs=1e-9)
     assert outcome.rotation == pytest.approx(0.0, abs=1e-9)
 
-    sole = [
-        tuple(
-            outcome.step.snap.foothold_pose.rotation[:2, :2] @ (u, v)
-            + outcome.step.snap.foothold_pose.translation[:2]
-        )
-        for u, v in FOOT.sole.vertices
-    ]
+    snap = outcome.step.snap
+    rotation = np.array(snap.rotation)[:2, :2]
+    sole = [tuple(rotation @ (u, v) + snap.center[:2]) for u, v in FOOT.sole.vertices]
     region_outline = [(0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5)]
     outline = ConvexPolygon2(region_outline)
     assert polygon_min_inset(sole, outline.vertices) >= 0.01 - 1e-9
@@ -262,13 +263,9 @@ def test_wiggle_is_idempotent_once_settled():
     assert first.inset_used == pytest.approx(params.inset_distance, abs=1e-15)
     second = wiggle_step(first.step, env, FOOT, params)
     assert second.inset_used == pytest.approx(params.inset_distance, abs=1e-15)
-    assert second.shift_magnitude <= 1e-9
+    assert math.hypot(*second.translation) <= 1e-9
     assert abs(second.rotation) <= 1e-9
-    np.testing.assert_allclose(
-        second.step.snap.foothold_pose.translation,
-        first.step.snap.foothold_pose.translation,
-        atol=1e-9,
-    )
+    np.testing.assert_allclose(second.step.snap.center, first.step.snap.center, atol=1e-9)
 
 
 def test_inset_halves_until_the_strip_admits_it():
@@ -277,7 +274,7 @@ def test_inset_halves_until_the_strip_admits_it():
     env = Environment([flat_region(0, 2.0, 0.131)])
     outcome = wiggle_step(snapped_step(0.0, 0.0, 0.0, env), env, FOOT, WiggleParams())
     assert outcome.inset_used == pytest.approx(0.01, abs=1e-15)
-    assert outcome.shift_magnitude <= 1e-9
+    assert math.hypot(*outcome.translation) <= 1e-9
 
 
 def test_sole_wider_than_the_beam_is_left_alone():
@@ -352,8 +349,11 @@ def test_wiggle_plan_preserves_order_and_sides():
         {"max_translation": 0.0},
         {"max_rotation": 0.0},
         {"weights": np.array([[1.0, 0.2, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 0.05]])},
-        {"weights": np.diag([1.0, -1.0, 0.05])},
-        {"weights": np.eye(2)},
+        {"weights": (1.0, -1.0, 0.05)},
+        {"weights": (1.0, math.inf, 0.05)},
+        {"weights": (1.0, math.nan, 0.05)},
+        {"weights": (1.0, 1.0)},
+        {"weights": 5.0},
     ],
 )
 def test_wiggle_params_validation(kwargs):
