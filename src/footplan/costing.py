@@ -85,7 +85,6 @@ def edge_cost(
     )
 
 
-@lru_cache(maxsize=512)
 def edge_cost_bounds(
     lattice: LatticeParams,
     expansion: ExpansionParams,
@@ -118,6 +117,38 @@ def edge_cost_bounds(
     return tuple(bounds)
 
 
+@lru_cache(maxsize=512)
+def cell_cost_bounds(
+    lattice: LatticeParams,
+    expansion: ExpansionParams,
+    params: CostParams,
+    side: Side,
+    yaw_index: int,
+) -> tuple[tuple[int, int, int, float, tuple[tuple[int, float], ...]], ...]:
+    """`edge_cost_bounds` grouped by lattice cell: one row per run of
+    `expand_node`'s children from a `side` parent in yaw bin `yaw_index`
+    that share an (x, y) index offset, in `expand_node`'s order.
+
+    A row is (dx_index, dy_index, first, least, members): `first` is the
+    position of the run's first child in `expand_node`'s order, `least` the
+    run's smallest bound, and `members` the (yaw_index, bound) of each child
+    of the run in order. `expand_node` sorts by stance-frame offset, so each
+    cell's children form one run.
+    """
+    parent = FootstepNode(0, 0, yaw_index, side)
+    children = expand_node(parent, lattice, expansion)
+    bounds = edge_cost_bounds(lattice, expansion, params, side, yaw_index)
+    runs: list[tuple[int, int, int, list]] = []
+    for first, (child, bound) in enumerate(zip(children, bounds)):
+        if not runs or runs[-1][:2] != (child.x_index, child.y_index):
+            runs.append((child.x_index, child.y_index, first, []))
+        runs[-1][3].append((child.yaw_index, bound))
+    return tuple(
+        (dx, dy, first, min(bound for _, bound in members), tuple(members))
+        for dx, dy, first, members in runs
+    )
+
+
 def reference_yaw(position: Point2, goal: Pose2, start: Pose2, params: CostParams) -> float:
     """Desired heading at a position: toward the goal far away, blending into
     the goal's own yaw inside the final turn radius."""
@@ -135,13 +166,30 @@ def reference_yaw(position: Point2, goal: Pose2, start: Pose2, params: CostParam
     return wrap_angle(heading + wrap_angle(goal.yaw - heading) * blend)
 
 
-def heuristic_cost(pose: Pose2, goal: Pose2, start: Pose2, params: CostParams) -> float:
-    distance = math.hypot(goal.x - pose.x, goal.y - pose.y)
-    yaw_error = abs(wrap_angle(pose.yaw - reference_yaw((pose.x, pose.y), goal, start, params)))
+def _goal_terms(x: float, y: float, goal: Pose2, params: CostParams) -> tuple[float, int]:
+    """The distance from (x, y) to the goal and the fewest heuristic steps
+    that cover it."""
+    distance = math.hypot(goal.x - x, goal.y - y)
     steps = math.ceil(distance / params.max_step_length_for_heuristic - COST_EPS)
-    steps = max(0, steps)
+    return distance, max(0, steps)
+
+
+def heuristic_cost(pose: Pose2, goal: Pose2, start: Pose2, params: CostParams) -> float:
+    distance, steps = _goal_terms(pose.x, pose.y, goal, params)
+    yaw_error = abs(wrap_angle(pose.yaw - reference_yaw((pose.x, pose.y), goal, start, params)))
     return params.inflation * (
         params.w_distance * distance
         + params.w_yaw * yaw_error
         + steps * params.cost_per_step
     )
+
+
+def position_heuristic(x: float, y: float, goal: Pose2, params: CostParams) -> float:
+    """`heuristic_cost` without its yaw term, for every pose at (x, y).
+
+    It shares the distance and step terms and drops a term that is never
+    negative from the same sum, so it is at most `heuristic_cost` exactly in
+    floats: rounded addition and multiplication are monotone.
+    """
+    distance, steps = _goal_terms(x, y, goal, params)
+    return params.inflation * (params.w_distance * distance + steps * params.cost_per_step)

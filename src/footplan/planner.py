@@ -11,14 +11,20 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .constants import BOUNDARY_SLACK, REACH_SLACK
-from .costing import CostParams, edge_cost, edge_cost_bounds, heuristic_cost
+from .costing import (
+    CostParams,
+    cell_cost_bounds,
+    edge_cost,
+    heuristic_cost,
+    position_heuristic,
+)
 from .geometry import Point2, Pose2, convex_sets_distance, point_to_convex_distance, wrap_angle
 from .lattice import (
     ExpansionParams,
     FootstepNode,
     LatticeParams,
     Side,
-    expand_node,
+    expand_node,  # not called here; perfbench/spans.py traces it by this name
     node_to_pose,
     pose_to_node,
 )
@@ -74,9 +80,10 @@ class SearchStats:
     by reason, and `percent_rejected` is their share. Edges never evaluated
     are not counted: those into a node closed first, those whose lower bound
     cannot beat the child's score, and those into a child whose own foothold
-    already failed (no snap, too steep, too little support). The expansion
-    order, so `nodes_expanded` and the path, are those of an eager search
-    that evaluates every child of a node when it expands the node.
+    failed (no snap, too steep, too little support) before the edge's cell
+    was opened. The expansion order, so `nodes_expanded` and the path, are
+    those of an eager search that evaluates every child of a node when it
+    expands the node.
     """
 
     nodes_expanded: int = 0
@@ -244,16 +251,24 @@ def _no_region_chain(
 class _Search:
     """Single-search mutable state: scores, parents, frontier, and memo caches.
 
-    The frontier holds two kinds of entries, ordered by (f, h, seq):
+    The frontier holds three kinds of entries, ordered by (f, h, seq):
     - a scored node, (g + h, h, seq, node, None);
     - a lazy edge, (g(parent) + lb + h(child), h(child), seq, child, parent),
-      where lb is `edge_cost_bounds`' lower bound on the step's cost.
-    An edge is pushed unscored when its parent is expanded, and snapped,
-    validated and costed only when it is popped. Each push takes the next
-    seq, and a scored node keeps the seq of the edge that scored it, so ties
-    break as in an eager search that scores every child on expansion. A
-    child whose foothold fails a check of its own gets h = inf, and no edge
-    into it is pushed again.
+      where lb is `edge_cost_bounds`' lower bound on the step's cost;
+    - a cell, (g(parent) + least lb + h_pos, -1.0, seq, parent, row): the
+      edges from an expanded parent into one lattice cell (x, y), where row
+      is the cell's `cell_cost_bounds` row and h_pos its
+      `position_heuristic`.
+    Expanding a node reserves one seq per child, in `expand_node`'s order,
+    and pushes one cell per (x, y); a cell with one child pushes its edge at
+    once. A cell's key is at most each of its edges' keys (h_pos <= h, and
+    h = -1 sorts first on an f tie), so it pops before any of them could.
+    Popping it pushes its edges with their reserved seqs. An edge is snapped,
+    validated and costed only when it is popped, and a scored node keeps the
+    seq of the edge that scored it, so the expansion order and ties are
+    those of an eager search that scores every child on expansion. A child
+    whose foothold fails a check of its own gets h = inf, and no edge into
+    it is pushed again.
     """
 
     def __init__(self, request: PlannerRequest):
@@ -266,6 +281,7 @@ class _Search:
         self.seq = 0
         self.snap_memo: dict[FootstepNode, SnapResult | SnapFailure] = {}
         self.h_memo: dict[FootstepNode, float] = {}
+        self.cells: dict[tuple[Side, int], tuple[tuple, int]] = {}  # rows, child count
         self.stats = SearchStats()
         self.best_node: FootstepNode | None = None
         self.best_key: tuple[float, float] | None = None
@@ -312,17 +328,29 @@ class _Search:
         heapq.heappush(self.frontier, (g + h, h, seq, node, None))
 
     def push_edges(self, node: FootstepNode):
-        """Push a lazy edge from an expanded node to each open child that its
-        lower bound does not already rule out."""
+        """Reserve a seq per child of an expanded node and push a cell per
+        lattice cell, or the edge itself for a cell with one child."""
         request = self.request
+        table = self.cells.get((node.side, node.yaw_index))
+        if table is None:
+            rows = cell_cost_bounds(
+                request.lattice, request.expansion, request.cost, node.side, node.yaw_index
+            )
+            table = self.cells[node.side, node.yaw_index] = (rows, sum(len(r[4]) for r in rows))
+        cells, count = table
         node_g = self.g[node]
-        children = expand_node(node, request.lattice, request.expansion)
-        bounds = edge_cost_bounds(
-            request.lattice, request.expansion, request.cost, node.side, node.yaw_index
-        )
+        x, y, side = node.x_index, node.y_index, node.side.opposite
         closed, g, h_memo, frontier = self.closed, self.g, self.h_memo, self.frontier
-        seq = self.seq
-        for child, bound in zip(children, bounds):
+        res, goal, cost = request.lattice.xy_resolution, request.goal_midstance, request.cost
+        base = self.seq
+        for row in cells:
+            dx, dy, first, least, members = row
+            if len(members) > 1:
+                h = position_heuristic((x + dx) * res, (y + dy) * res, goal, cost)
+                heapq.heappush(frontier, (node_g + least + h, -1.0, base + first, node, row))
+                continue
+            (yaw, bound), = members
+            child = FootstepNode(x + dx, y + dy, yaw, side)
             if child in closed:
                 continue
             lower = node_g + bound
@@ -334,9 +362,30 @@ class _Search:
                 h = self.heuristic(child)
             elif h == math.inf:
                 continue  # its foothold failed a check of its own
-            heapq.heappush(frontier, (lower + h, h, seq, child, node))
-            seq += 1
-        self.seq = seq
+            heapq.heappush(frontier, (lower + h, h, base + first, child, node))
+        self.seq = base + count
+
+    def open_cell(self, parent: FootstepNode, row: tuple, seq: int):
+        """Push a lazy edge from `parent` to each open child in a popped cell
+        that its lower bound does not already rule out."""
+        dx, dy, _, _, members = row
+        x, y, side = parent.x_index + dx, parent.y_index + dy, parent.side.opposite
+        node_g = self.g[parent]
+        closed, g, h_memo, frontier = self.closed, self.g, self.h_memo, self.frontier
+        for seq, (yaw, bound) in enumerate(members, seq):
+            child = FootstepNode(x, y, yaw, side)
+            if child in closed:
+                continue
+            lower = node_g + bound
+            old = g.get(child)
+            if old is not None and lower >= old - 1e-12:
+                continue
+            h = h_memo.get(child)
+            if h is None:
+                h = self.heuristic(child)
+            elif h == math.inf:
+                continue  # its foothold failed a check of its own
+            heapq.heappush(frontier, (lower + h, h, seq, child, parent))
 
     def evaluate(self, parent: FootstepNode, child: FootstepNode, seq: int):
         """Snap and validate a popped lazy edge; score its child if it is valid."""
@@ -412,6 +461,9 @@ def plan(request: PlannerRequest) -> PlannerResult:
     frontier, closed, g = search.frontier, search.closed, search.g
     while frontier:
         f, h, seq, node, parent = heapq.heappop(frontier)
+        if h < 0.0:  # a cell: node is its expanded parent, parent its row
+            search.open_cell(node, parent, seq)
+            continue
         if node in closed:
             continue
         if parent is None:

@@ -53,11 +53,19 @@ def _pose_of(doc, key: str) -> Pose2:
     return Pose2(x, y, yaw)
 
 
-def _number(value, what: str, kind=float):
+def _number(value, what: str):
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{what} must be a number, got {value!r}") from None
+
+
+def _integer(value, what: str, positive: bool = False) -> int:
+    """A JSON integer: not a float, however whole, and not a boolean."""
+    if not isinstance(value, int) or isinstance(value, bool) or (positive and value < 1):
+        kind = "a positive integer" if positive else "an integer"
+        raise ScenarioError(f"{what} must be {kind}, got {value!r}")
+    return value
 
 
 def _region_of(doc: dict) -> PlanarRegion:
@@ -100,7 +108,7 @@ def load_scenario_script(document) -> ScenarioScript:
         elif action == "remove-region":
             if "id" not in entry:
                 raise ScenarioError(f"event {idx}: remove-region needs an id")
-            region_id = _number(entry["id"], f"event {idx}: id", int)
+            region_id = _integer(entry["id"], f"event {idx}: id")
             events.append(TimelineEvent(time, action, region_id=region_id))
         else:
             raise ScenarioError(f"event {idx}: unknown action {action!r}")
@@ -124,7 +132,7 @@ def load_scenario_script(document) -> ScenarioScript:
         events=tuple(events),
         replan_period=replan_period,
         timeout=timeout,
-        max_ticks=_number(document.get("max_ticks", 120), "max_ticks", int),
+        max_ticks=_integer(document.get("max_ticks", 120), "max_ticks", positive=True),
         params=params,
     )
 

@@ -233,10 +233,9 @@ def load_environment(document) -> Environment:
     for idx, entry in enumerate(regions_doc):
         if not isinstance(entry, dict):
             raise WorldLoadError(f"region entry {idx} is not an object")
-        try:
-            region_id = int(entry["id"])
-        except (KeyError, TypeError, ValueError):
-            raise WorldLoadError(f"region entry {idx}: missing or bad id") from None
+        region_id = entry.get("id")
+        if not isinstance(region_id, int) or isinstance(region_id, bool):
+            raise WorldLoadError(f"region entry {idx}: id must be an integer, got {region_id!r}")
         label = f"region {region_id}"
         try:
             translation = [float(v) for v in entry["translation"]]

@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from footplan.costing import CostParams, edge_cost, edge_cost_bounds, heuristic_cost
+from footplan.costing import (
+    CostParams,
+    edge_cost,
+    edge_cost_bounds,
+    heuristic_cost,
+    position_heuristic,
+)
 from footplan.geometry import Pose2, RigidTransform3, rectangle_polygon
 from footplan.lattice import (
     ExpansionParams,
@@ -24,6 +30,7 @@ from footplan.lattice import (
     node_to_pose,
     pose_to_node,
 )
+from footplan.params import ParamsBundle
 from footplan.planner import (
     PlannerRequest,
     PlannerResult,
@@ -31,12 +38,14 @@ from footplan.planner import (
     PlanStep,
     SearchStats,
     _no_region_chain,
+    _Search,
     _within_goal,
     feet_from_midstance,
     plan,
 )
 from footplan.snapping import SnapFailure, SnapResult, default_foot, snap_pose
 from footplan.toolkit import cli, scenario
+from footplan.toolkit.generators import generate_environment
 from footplan.validity import CheckerParams, midstance_pose, validate_edge
 from footplan.world import Environment, PlanarRegion
 
@@ -291,10 +300,8 @@ def test_lazy_search_matches_the_eager_search_on_the_bench_corpora(
 
 
 @st.composite
-def tilted_steps(draw):
-    """A parent node on a tilted slab, possibly far from the origin, with a
-    drawn lattice, action box and cost weights; a second slab at another
-    height and tilt takes part of the children."""
+def lattices_and_boxes(draw):
+    """A lattice and an action box, each drawn over a wide range."""
     yaw_count = draw(st.sampled_from((4, 8, 12, 36, 72)))
     lattice = LatticeParams(draw(st.sampled_from((0.02, 0.05, 0.1))), math.tau / yaw_count)
     lo_len = draw(st.floats(-0.3, 0.1))
@@ -309,6 +316,15 @@ def tilted_steps(draw):
         max_yaw_delta=lo_yaw + draw(st.floats(0.0, math.pi / 2)),
         max_reach=draw(st.floats(0.2, 0.6)),
     )
+    return lattice, expansion
+
+
+@st.composite
+def tilted_steps(draw):
+    """A parent node on a tilted slab, possibly far from the origin, with a
+    drawn lattice, action box and cost weights; a second slab at another
+    height and tilt takes part of the children."""
+    lattice, expansion = draw(lattices_and_boxes())
     weights = st.floats(0.0, 3.0)
     cost = CostParams(
         w_distance=draw(weights),
@@ -324,7 +340,7 @@ def tilted_steps(draw):
     node = FootstepNode(
         draw(st.integers(-far - 3, far + 3)),
         draw(st.integers(-far - 3, far + 3)),
-        draw(st.integers(0, yaw_count - 1)),
+        draw(st.integers(0, lattice.yaw_count - 1)),
         side,
     )
     pose = node_to_pose(node, lattice)
@@ -373,3 +389,111 @@ def test_edge_cost_bounds_are_tight_on_flat_ground():
             assert edge_cost(parent_snap, child_snap, side, cost) - bound == pytest.approx(
                 1e-9, abs=1e-12
             )
+
+
+# ---------------------------------------------------------------------------
+# Cells: the frontier entry that stands for an expanded node's edges into one
+# lattice cell until the cell reaches the front
+
+
+@st.composite
+def cell_expansions(draw):
+    """An expanded node up to 100 km from the origin, with its score, a goal,
+    a drawn lattice, action box and cost weights (zeros and inflation 1-3
+    included)."""
+    lattice, expansion = draw(lattices_and_boxes())
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+    cost = CostParams(
+        w_distance=draw(weight),
+        w_yaw=draw(weight),
+        cost_per_step=draw(weight),
+        inflation=draw(st.one_of(st.just(1.0), st.floats(1.0, 3.0))),
+        final_turn_radius=draw(st.floats(0.1, 1.0)),
+        max_step_length_for_heuristic=draw(st.floats(0.1, 0.6)),
+        nominal_stance_width=draw(st.floats(0.1, 0.4)),
+    )
+    far = round(draw(st.sampled_from((0.0, 1e3, 1e5))) / lattice.xy_resolution)
+    node = FootstepNode(
+        draw(st.integers(-far - 3, far + 3)),
+        draw(st.integers(-far - 3, far + 3)),
+        draw(st.integers(0, lattice.yaw_count - 1)),
+        draw(st.sampled_from((Side.LEFT, Side.RIGHT))),
+    )
+    pose = node_to_pose(node, lattice)
+    heading = draw(st.floats(-math.pi, math.pi))
+    distance = draw(st.one_of(st.floats(0.0, 3.0), st.floats(0.0, 1e3)))
+    goal = Pose2(pose.x + distance * math.cos(heading), pose.y + distance * math.sin(heading),
+                 draw(st.floats(-math.pi, math.pi)))
+    request = PlannerRequest(
+        env=Environment([]),
+        start_left=Pose2(pose.x, pose.y + 0.1, 0.0),
+        start_right=Pose2(pose.x, pose.y - 0.1, 0.0),
+        goal_midstance=goal,
+        lattice=lattice,
+        expansion=expansion,
+        cost=cost,
+    )
+    return request, node, draw(st.floats(0.0, 1e4))
+
+
+@settings(max_examples=300)
+@given(cell_expansions())
+def test_a_cell_key_never_exceeds_the_key_of_an_edge_in_it(draw_args):
+    request, node, node_g = draw_args
+    search = _Search(request)
+    search.g[node] = node_g
+    search.seq = base = 7
+    search.push_edges(node)
+    lattice, goal, cost = request.lattice, request.goal_midstance, request.cost
+
+    def h(child):
+        return heuristic_cost(node_to_pose(child, lattice), goal, search.start_mid, cost)
+
+    bounds = edge_cost_bounds(lattice, request.expansion, cost, node.side, node.yaw_index)
+    children = expand_node(node, lattice, request.expansion)
+    edges = {}  # seq -> child, over the edges pushed at once and those in cells
+    for f, h_slot, seq, first, via in search.frontier:
+        if h_slot >= 0.0:
+            assert via == node and (f, h_slot) == (node_g + bounds[seq - base] + h(first), h(first))
+            edges[seq] = first
+            continue
+        dx, dy, _, _, members = via
+        x, y = node.x_index + dx, node.y_index + dy
+        h_pos = position_heuristic(x * lattice.xy_resolution, y * lattice.xy_resolution, goal, cost)
+        for yaw_index in range(lattice.yaw_count):
+            assert h_pos <= h(FootstepNode(x, y, yaw_index, node.side.opposite))
+        for k, (yaw_index, bound) in enumerate(members):
+            child = FootstepNode(x, y, yaw_index, node.side.opposite)
+            assert (f, h_slot, seq) <= (node_g + bound + h(child), h(child), seq + k)
+            edges[seq + k] = child
+    assert search.seq == base + len(children)
+    assert edges == {base + k: child for k, child in enumerate(children)}
+
+
+def test_a_multi_yaw_expansion_pushes_and_scores_a_fraction_of_its_children(monkeypatch):
+    # a seed-1 cinder field with the default parameters: over 500 children
+    # per expansion, each of which used to be heap-pushed with its heuristic
+    params = ParamsBundle()
+    env = generate_environment("cinder-field", 1, {"cols": 2})
+    left, right = feet_from_midstance(Pose2(-0.6, 0.0, 0.0), params.cost.nominal_stance_width)
+    request = params.planner_request(env, left, right, Pose2(1.35, 0.0, 0.0), 60.0)
+    counts = {"heuristic_cost": 0, "heappush": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr("footplan.planner.heuristic_cost", counted("heuristic_cost", heuristic_cost))
+    monkeypatch.setattr(heapq, "heappush", counted("heappush", heapq.heappush))
+    result = plan(request)
+    assert result.status is PlanStatus.FOUND_SOLUTION
+    expansions = result.stats.nodes_expanded
+    least_children = min(
+        len(expand_node(FootstepNode(0, 0, yaw_index, side), request.lattice, request.expansion))
+        for yaw_index in range(request.lattice.yaw_count) for side in Side
+    )
+    assert expansions > 5 and least_children > 500
+    assert counts["heuristic_cost"] < 0.2 * least_children * expansions
+    assert counts["heappush"] < 0.5 * least_children * expansions

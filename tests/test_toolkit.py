@@ -203,8 +203,18 @@ def test_scenario_script_validation():
     for timeout in (0, -1.0, "abc", float("nan"), None):
         with pytest.raises(ScenarioError, match="timeout"):
             load_scenario_script(dict(good, timeout=timeout))
-    with pytest.raises(ScenarioError, match="max_ticks"):
-        load_scenario_script(dict(good, max_ticks="many"))
+    for ticks in ("many", -3, 0, 2.7, 2.0, True):
+        with pytest.raises(ScenarioError, match="max_ticks must be a positive integer"):
+            load_scenario_script(dict(good, max_ticks=ticks))
+    for region_id in (0.9, 0.0, True, "0"):
+        with pytest.raises(ScenarioError, match="event 0: id must be an integer"):
+            load_scenario_script(scenario_doc(
+                env, 0.0, (0.5, 0.0, 0.0),
+                [{"time": 1.0, "action": "remove-region", "id": region_id}],
+            ))
+        region = dict(good["environment"]["regions"][0], id=region_id)
+        with pytest.raises(ScenarioError, match="id must be an integer"):
+            load_scenario_script(dict(good, environment={"regions": [region]}))
     with pytest.raises(ScenarioError, match="time must be a number"):
         load_scenario_script(
             scenario_doc(env, 0.0, (0.5, 0.0, 0.0), [{"time": "soon", "action": "add-region"}])
@@ -502,6 +512,26 @@ def test_cli_input_errors_exit_4(tmp_path, stable_env, capsys):
         path = tmp_path / f"bad_weights{index}.json"
         path.write_text(json.dumps({"wiggle_weights": weights}))
         bad_weights.append(plan + ["--start", "0,0,0", "--goal", "1,0,0", "--params", str(path)])
+    fractional_env = tmp_path / "fractional_id.json"
+    world = json.loads(env_path.read_text())
+    world["regions"][0]["id"] = 0.9
+    fractional_env.write_text(json.dumps(world))
+    bad_integers = [(
+        ["plan", "--env", str(fractional_env), "--start", "0,0,0", "--goal", "1,0,0"],
+        "id must be an integer, got 0.9",
+    )]
+    good_scenario = scenario_doc(Environment([flat_region(0, 1.0, 1.0)]), 0.0, (0.5, 0.0, 0.0))
+    for index, (overrides, message) in enumerate((
+        ({"events": [{"time": 1.0, "action": "remove-region", "id": 0.9}]},
+         "id must be an integer, got 0.9"),
+        ({"max_ticks": -3}, "max_ticks must be a positive integer, got -3"),
+        ({"max_ticks": 2.7}, "max_ticks must be a positive integer, got 2.7"),
+        ({"max_ticks": True}, "max_ticks must be a positive integer, got True"),
+    )):
+        path = tmp_path / f"bad_integer{index}.json"
+        path.write_text(json.dumps(dict(good_scenario, **overrides)))
+        argv = ["anytime", "--scenario", str(path), "--out", str(tmp_path / "x.json")]
+        bad_integers.append((argv, message))
     cases = [
         plan + ["--start", "0,0,0", "--goal", "1,0,0", "--timeout", "0"],
         plan + ["--start", "0,0,0", "--goal", "1,0,0", "--timeout", "-1"],
@@ -525,6 +555,9 @@ def test_cli_input_errors_exit_4(tmp_path, stable_env, capsys):
         assert cli_main(argv) == 4, argv
         captured = capsys.readouterr()
         assert "error:" in captured.err
+    for argv, message in bad_integers:
+        assert cli_main(argv) == 4, argv
+        assert message in capsys.readouterr().err
 
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
