@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from .costing import CostParams
 from .geometry import ConvexPolygon2, GeometryError, Pose2
 from .lattice import ExpansionParams, LatticeParams
-from .planner import PlannerRequest
+from .planner import PlannerRequest, SearchMemo
 from .snapping import FootPolygon, default_foot
 from .validity import CheckerParams
 from .wiggle import WiggleParams
@@ -40,9 +40,11 @@ class ParamsBundle:
             raise ParamsError("wiggle_inset_distance must be below xy_resolution")
 
     def planner_request(
-        self, env, start_left: Pose2, start_right: Pose2, goal: Pose2, timeout: float
+        self, env, start_left: Pose2, start_right: Pose2, goal: Pose2, timeout: float,
+        memo: SearchMemo | None = None,
     ) -> PlannerRequest:
-        """The search request these parameters set up for one start and goal."""
+        """The search request these parameters set up for one start and goal,
+        with `memo` to keep work across a replanning loop's searches."""
         return PlannerRequest(
             env=env,
             start_left=start_left,
@@ -56,6 +58,7 @@ class ParamsBundle:
             checker=self.checker,
             cost=self.cost,
             foot=self.foot,
+            memo=memo,
         )
 
 

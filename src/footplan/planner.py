@@ -29,10 +29,18 @@ from .lattice import (
     pose_to_node,
 )
 from .snapping import FootPolygon, SnapFailure, SnapResult, default_foot, snap_pose
-from .validity import FOOTHOLD_REASONS, CheckerParams, midstance_pose, validate_edge
+from .validity import (
+    FOOTHOLD_REASONS,
+    CheckerParams,
+    RejectionReason,
+    midstance_pose,
+    validate_edge,
+)
 from .world import Environment, PlanarRegion
 
 log = logging.getLogger("footplan.planner")
+
+_UNSEEN = object()  # no verdict kept for an edge
 
 
 class PlanStatus(enum.Enum):
@@ -40,6 +48,37 @@ class PlanStatus(enum.Enum):
     TIMED_OUT_BEST_EFFORT = "timed_out_best_effort"
     NO_PATH_EXISTS = "no_path_exists"
     INVALID_START = "invalid_start"
+
+
+class SearchMemo:
+    """Snaps and edge verdicts kept from one search to the next, for a
+    replanning loop that plans again and again in one world.
+
+    A snap depends only on its node, the lattice, the world and the foot, and
+    an edge's verdict only on its two snaps, the world, the checker and the
+    foot. So the memo holds while the request's `env` is the same object and
+    its `lattice`, `foot` and `checker` are equal; `bind` empties it on any
+    other request. Costs and heuristics are not kept: the heuristic depends
+    on the start.
+    """
+
+    def __init__(self):
+        self.snaps: dict[FootstepNode, SnapResult | SnapFailure] = {}
+        self.verdicts: dict[tuple[FootstepNode, FootstepNode], RejectionReason | None] = {}
+        self._env: Environment | None = None
+        self._params: tuple = ()
+
+    def bind(self, request: PlannerRequest):
+        """Keep the memo for `request`, or empty it if its world or params differ."""
+        params = (request.lattice, request.foot, request.checker)
+        if request.env is not self._env or params != self._params:
+            self.clear()
+            self._env, self._params = request.env, params
+
+    def clear(self):
+        self.snaps.clear()
+        self.verdicts.clear()
+        self._env, self._params = None, ()
 
 
 @dataclass(frozen=True)
@@ -56,6 +95,7 @@ class PlannerRequest:
     checker: CheckerParams = field(default_factory=CheckerParams)
     cost: CostParams = field(default_factory=CostParams)
     foot: FootPolygon = field(default_factory=default_foot)
+    memo: SearchMemo | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.timeout > 0:  # NaN too
@@ -269,6 +309,13 @@ class _Search:
     those of an eager search that scores every child on expansion. A child
     whose foothold fails a check of its own gets h = inf, and no edge into
     it is pushed again.
+
+    With a `SearchMemo` on the request, the snap memo and the verdict memo,
+    (parent, child) -> `validate_edge`'s answer, are the memo's, kept from
+    earlier searches in the same world. A verdict read from the memo counts
+    as an evaluation, as a fresh one does, so the counters and the search
+    are those of a search without the memo. Without one, the snap memo is
+    the search's own and verdicts are not kept.
     """
 
     def __init__(self, request: PlannerRequest):
@@ -280,6 +327,10 @@ class _Search:
         self.frontier: list = []
         self.seq = 0
         self.snap_memo: dict[FootstepNode, SnapResult | SnapFailure] = {}
+        self.verdicts: dict | None = None
+        if request.memo is not None:
+            request.memo.bind(request)
+            self.snap_memo, self.verdicts = request.memo.snaps, request.memo.verdicts
         self.h_memo: dict[FootstepNode, float] = {}
         self.cells: dict[tuple[Side, int], tuple[tuple, int]] = {}  # rows, child count
         self.stats = SearchStats()
@@ -391,17 +442,21 @@ class _Search:
         """Snap and validate a popped lazy edge; score its child if it is valid."""
         request, stats = self.request, self.stats
         stats.children_considered += 1
-        parent_snap = self.snap(parent)
-        child_snap = self.snap(child)
-        verdict = validate_edge(
-            parent_snap, child_snap, parent.side, request.env, request.checker, request.foot
-        )
+        verdicts = self.verdicts
+        verdict = _UNSEEN if verdicts is None else verdicts.get((parent, child), _UNSEEN)
+        if verdict is _UNSEEN:
+            verdict = validate_edge(
+                self.snap(parent), self.snap(child), parent.side,
+                request.env, request.checker, request.foot,
+            )
+            if verdicts is not None:
+                verdicts[parent, child] = verdict
         if verdict is not None:
             stats.children_rejected[verdict] += 1
             if verdict in FOOTHOLD_REASONS:
                 self.h_memo[child] = math.inf  # no edge into it is pushed again
             return
-        cost = edge_cost(parent_snap, child_snap, parent.side, request.cost)
+        cost = edge_cost(self.snap(parent), self.snap(child), parent.side, request.cost)
         self.score(child, self.g[parent] + cost, parent, seq)
 
     def chain(self, end: FootstepNode) -> list[FootstepNode]:

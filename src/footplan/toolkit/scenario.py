@@ -9,13 +9,16 @@ trace entry per tick.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 
 from ..geometry import GeometryError, Pose2
 from ..params import ParamsBundle, ParamsError, load_params
-from ..planner import PlanStatus, plan
+from ..planner import PlanStatus, SearchMemo, plan
 from ..world import Environment, PlanarRegion, WorldLoadError, load_environment
+
+log = logging.getLogger("footplan.scenario")
 
 
 class ScenarioError(ValueError):
@@ -44,19 +47,22 @@ class ScenarioScript:
 
 
 def _pose_of(doc, key: str) -> Pose2:
-    try:
-        x, y, yaw = (float(v) for v in doc[key])
-    except (KeyError, TypeError, ValueError):
-        raise ScenarioError(f"scenario field {key!r} must be [x, y, yaw]") from None
+    value = doc.get(key)
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ScenarioError(f"scenario field {key!r} must be [x, y, yaw]")
+    x, y, yaw = (_number(v, f"scenario field {key!r}") for v in value)
     if not all(math.isfinite(v) for v in (x, y, yaw)):
         raise ScenarioError(f"scenario field {key!r} must be finite")
     return Pose2(x, y, yaw)
 
 
-def _number(value, what: str):
+def _number(value, what: str) -> float:
+    """A JSON number: not a boolean and not a string."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ScenarioError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         raise ScenarioError(f"{what} must be a number, got {value!r}") from None
 
 
@@ -156,8 +162,18 @@ def run_anytime_scenario(script: ScenarioScript) -> dict:
     """Run the scripted timeline and return a JSON-ready trace.
 
     Arrival means the planner reports a solution with zero remaining steps,
-    i.e. a start foot already satisfies its goal pose.
+    i.e. a start foot already satisfies its goal pose. Ticks between world
+    changes share one `SearchMemo`, so a tick reuses the snaps and edge
+    verdicts of the ticks before it in the same world.
     """
+    memo = SearchMemo()
+    try:
+        return _run_ticks(script, memo)
+    finally:
+        memo.clear()  # a caller may keep the requests, and so the memo
+
+
+def _run_ticks(script: ScenarioScript, memo: SearchMemo) -> dict:
     env = script.environment
     left, right = script.start_left, script.start_right
     cursor = 0
@@ -167,7 +183,19 @@ def run_anytime_scenario(script: ScenarioScript) -> dict:
     while tick < script.max_ticks and not arrived:
         now = tick * script.replan_period
         env, applied, cursor = _apply_events(env, script.events, now, cursor)
-        result = plan(script.params.planner_request(env, left, right, script.goal, script.timeout))
+        request = script.params.planner_request(
+            env, left, right, script.goal, script.timeout, memo=memo
+        )
+        memo.bind(request)
+        snaps, verdicts = len(memo.snaps), len(memo.verdicts)
+        result = plan(request)
+        if log.isEnabledFor(logging.DEBUG):
+            computed = len(memo.verdicts) - verdicts
+            log.debug(
+                "tick %d: verdicts %d reused, %d computed; snaps %d computed, %d held",
+                tick, result.stats.children_considered - computed, computed,
+                len(memo.snaps) - snaps, snaps,
+            )
         arrived = result.status is PlanStatus.FOUND_SOLUTION and not result.steps
         advanced = None
         if result.steps:

@@ -200,7 +200,7 @@ def test_scenario_script_validation():
     with pytest.raises(ScenarioError, match="invalid JSON"):
         load_scenario_script("{oops")
 
-    for timeout in (0, -1.0, "abc", float("nan"), None):
+    for timeout in (0, -1.0, "abc", "1.0", True, float("nan"), None):
         with pytest.raises(ScenarioError, match="timeout"):
             load_scenario_script(dict(good, timeout=timeout))
     for ticks in ("many", -3, 0, 2.7, 2.0, True):
@@ -215,10 +215,14 @@ def test_scenario_script_validation():
         region = dict(good["environment"]["regions"][0], id=region_id)
         with pytest.raises(ScenarioError, match="id must be an integer"):
             load_scenario_script(dict(good, environment={"regions": [region]}))
-    with pytest.raises(ScenarioError, match="time must be a number"):
-        load_scenario_script(
-            scenario_doc(env, 0.0, (0.5, 0.0, 0.0), [{"time": "soon", "action": "add-region"}])
-        )
+    for time in ("soon", "1.0", True):
+        with pytest.raises(ScenarioError, match="time must be a number"):
+            load_scenario_script(
+                scenario_doc(env, 0.0, (0.5, 0.0, 0.0), [{"time": time, "action": "add-region"}])
+            )
+    for pose in (["1", 0.1, 0.0], [True, 0.1, 0.0], [0.0, 0.1], "0 0.1 0", None):
+        with pytest.raises(ScenarioError, match="start_left"):
+            load_scenario_script(dict(good, start_left=pose))
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ScenarioError, match="start_left"):
             load_scenario_script(dict(good, start_left=[bad, 0.1, 0.0]))
@@ -226,7 +230,7 @@ def test_scenario_script_validation():
             load_scenario_script(
                 scenario_doc(env, 0.0, (0.5, 0.0, 0.0), [{"time": bad, "action": "remove-region", "id": 0}])
             )
-    for period in (float("nan"), float("inf"), 0.0, -1.0):
+    for period in (float("nan"), float("inf"), 0.0, -1.0, "0.5", True):
         with pytest.raises(ScenarioError, match="replan_period"):
             load_scenario_script(dict(good, replan_period=period))
 
@@ -516,7 +520,7 @@ def test_cli_input_errors_exit_4(tmp_path, stable_env, capsys):
     world = json.loads(env_path.read_text())
     world["regions"][0]["id"] = 0.9
     fractional_env.write_text(json.dumps(world))
-    bad_integers = [(
+    bad_numbers = [(
         ["plan", "--env", str(fractional_env), "--start", "0,0,0", "--goal", "1,0,0"],
         "id must be an integer, got 0.9",
     )]
@@ -527,11 +531,14 @@ def test_cli_input_errors_exit_4(tmp_path, stable_env, capsys):
         ({"max_ticks": -3}, "max_ticks must be a positive integer, got -3"),
         ({"max_ticks": 2.7}, "max_ticks must be a positive integer, got 2.7"),
         ({"max_ticks": True}, "max_ticks must be a positive integer, got True"),
+        ({"timeout": True}, "timeout must be a number, got True"),
+        ({"replan_period": "0.5"}, "replan_period must be a number, got '0.5'"),
+        ({"start_left": ["1", 0, 0]}, "scenario field 'start_left' must be a number, got '1'"),
     )):
-        path = tmp_path / f"bad_integer{index}.json"
+        path = tmp_path / f"bad_number{index}.json"
         path.write_text(json.dumps(dict(good_scenario, **overrides)))
         argv = ["anytime", "--scenario", str(path), "--out", str(tmp_path / "x.json")]
-        bad_integers.append((argv, message))
+        bad_numbers.append((argv, message))
     cases = [
         plan + ["--start", "0,0,0", "--goal", "1,0,0", "--timeout", "0"],
         plan + ["--start", "0,0,0", "--goal", "1,0,0", "--timeout", "-1"],
@@ -555,7 +562,7 @@ def test_cli_input_errors_exit_4(tmp_path, stable_env, capsys):
         assert cli_main(argv) == 4, argv
         captured = capsys.readouterr()
         assert "error:" in captured.err
-    for argv, message in bad_integers:
+    for argv, message in bad_numbers:
         assert cli_main(argv) == 4, argv
         assert message in capsys.readouterr().err
 
