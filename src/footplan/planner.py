@@ -310,12 +310,11 @@ class _Search:
     whose foothold fails a check of its own gets h = inf, and no edge into
     it is pushed again.
 
-    With a `SearchMemo` on the request, the snap memo and the verdict memo,
-    (parent, child) -> `validate_edge`'s answer, are the memo's, kept from
-    earlier searches in the same world. A verdict read from the memo counts
+    The snap memo and the verdict memo, (parent, child) -> `validate_edge`'s
+    answer, live in a `SearchMemo`: the request's, kept from earlier searches
+    in the same world, or a fresh one. A verdict read from the memo counts
     as an evaluation, as a fresh one does, so the counters and the search
-    are those of a search without the memo. Without one, the snap memo is
-    the search's own and verdicts are not kept.
+    are those of a search with an empty memo.
     """
 
     def __init__(self, request: PlannerRequest):
@@ -326,11 +325,9 @@ class _Search:
         self.closed: set[FootstepNode] = set()
         self.frontier: list = []
         self.seq = 0
-        self.snap_memo: dict[FootstepNode, SnapResult | SnapFailure] = {}
-        self.verdicts: dict | None = None
-        if request.memo is not None:
-            request.memo.bind(request)
-            self.snap_memo, self.verdicts = request.memo.snaps, request.memo.verdicts
+        memo = request.memo or SearchMemo()
+        memo.bind(request)
+        self.snap_memo, self.verdicts = memo.snaps, memo.verdicts
         self.h_memo: dict[FootstepNode, float] = {}
         self.cells: dict[tuple[Side, int], tuple[tuple, int]] = {}  # rows, child count
         self.stats = SearchStats()
@@ -442,15 +439,13 @@ class _Search:
         """Snap and validate a popped lazy edge; score its child if it is valid."""
         request, stats = self.request, self.stats
         stats.children_considered += 1
-        verdicts = self.verdicts
-        verdict = _UNSEEN if verdicts is None else verdicts.get((parent, child), _UNSEEN)
+        verdict = self.verdicts.get((parent, child), _UNSEEN)
         if verdict is _UNSEEN:
             verdict = validate_edge(
                 self.snap(parent), self.snap(child), parent.side,
                 request.env, request.checker, request.foot,
             )
-            if verdicts is not None:
-                verdicts[parent, child] = verdict
+            self.verdicts[parent, child] = verdict
         if verdict is not None:
             stats.children_rejected[verdict] += 1
             if verdict in FOOTHOLD_REASONS:

@@ -186,10 +186,12 @@ def _run_ticks(script: ScenarioScript, memo: SearchMemo) -> dict:
         request = script.params.planner_request(
             env, left, right, script.goal, script.timeout, memo=memo
         )
-        memo.bind(request)
-        snaps, verdicts = len(memo.snaps), len(memo.verdicts)
+        debug = log.isEnabledFor(logging.DEBUG)
+        if debug:
+            memo.bind(request)  # empty a stale memo first, so the sizes count this tick
+            snaps, verdicts = len(memo.snaps), len(memo.verdicts)
         result = plan(request)
-        if log.isEnabledFor(logging.DEBUG):
+        if debug:
             computed = len(memo.verdicts) - verdicts
             log.debug(
                 "tick %d: verdicts %d reused, %d computed; snaps %d computed, %d held",

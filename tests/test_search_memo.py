@@ -125,6 +125,7 @@ def run_against_fresh(document, monkeypatch) -> tuple[dict, list[int]]:
 
     def both(request):
         assert request.memo is not None
+        request.memo.bind(request)  # as the search will, emptying a stale memo
         held.append(len(request.memo.verdicts))
         memoised = plan(request)
         assert_same_result(memoised, plan(dataclasses.replace(request, memo=None)))
