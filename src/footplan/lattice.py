@@ -52,7 +52,7 @@ class LatticeParams:
         if self.xy_resolution <= 0 or self.yaw_resolution <= 0:
             raise ValueError("lattice resolutions must be positive")
         count = math.tau / self.yaw_resolution
-        if abs(count - round(count)) > YAW_DIVISION_TOL:
+        if math.isinf(count) or abs(count - round(count)) > YAW_DIVISION_TOL:
             raise ValueError("yaw_resolution must evenly divide a full turn")
 
     @property

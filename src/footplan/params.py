@@ -8,19 +8,19 @@ sole) are vertex lists.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields
 
 from .costing import CostParams
 from .geometry import ConvexPolygon2, GeometryError, Pose2
 from .lattice import ExpansionParams, LatticeParams
 from .planner import PlannerRequest, SearchMemo
+from .reading import InputError, decoded, number, points
 from .snapping import FootPolygon, default_foot
 from .validity import CheckerParams
 from .wiggle import WiggleParams
 
 
-class ParamsError(ValueError):
+class ParamsError(InputError):
     """Raised when a parameters document is malformed."""
 
 
@@ -88,28 +88,15 @@ _ALL_KEYS = (
 )
 
 
-def _float_of(value, name: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParamsError(f"{name} must be a number")
-    if not math.isfinite(float(value)):
-        raise ParamsError(f"{name} must be finite")
-    return float(value)
-
-
 def _polygon_of(doc: dict, key: str) -> ConvexPolygon2:
     try:
-        verts = [(float(p[0]), float(p[1])) for p in doc[key]]
-        return ConvexPolygon2(verts)
-    except (TypeError, ValueError, IndexError, GeometryError) as exc:
+        return ConvexPolygon2(points(doc[key], key, ParamsError))
+    except GeometryError as exc:
         raise ParamsError(f"{key}: {exc}") from None
 
 
 def load_params(document) -> ParamsBundle:
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ParamsError(f"invalid JSON: {exc}") from exc
+    document = decoded(document, ParamsError)
     if not isinstance(document, dict):
         raise ParamsError("parameters document must be a JSON object")
     unknown = sorted(set(document) - _ALL_KEYS)
@@ -120,7 +107,7 @@ def load_params(document) -> ParamsBundle:
         out = {}
         for key in keys:
             if key in document:
-                out[key[len(strip):] if strip else key] = _float_of(document[key], key)
+                out[key[len(strip):] if strip else key] = number(document[key], key, ParamsError)
         return out
 
     try:
@@ -137,7 +124,7 @@ def load_params(document) -> ParamsBundle:
             if not isinstance(diag, list) or len(diag) != 3:
                 raise ParamsError("wiggle_weights must be a list of 3 diagonal entries")
             wiggle_kwargs["weights"] = tuple(
-                _float_of(v, f"wiggle_weights[{i}]") for i, v in enumerate(diag)
+                number(v, f"wiggle_weights[{i}]", ParamsError) for i, v in enumerate(diag)
             )
         wiggle = WiggleParams(**wiggle_kwargs)
         foot = (

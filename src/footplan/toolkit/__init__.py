@@ -1,18 +1,1 @@
 """Command line front end, scenario generators, and reporting helpers."""
-
-from .benchmark import BenchmarkSuite, benchmark_csv, load_benchmark_suite, run_benchmark
-from .generators import GENERATOR_KINDS, generate_environment
-from .scenario import ScenarioScript, load_scenario_script, run_anytime_scenario
-from .svg_render import render_svg
-
-__all__ = [
-    "BenchmarkSuite",
-    "GENERATOR_KINDS",
-    "ScenarioScript",
-    "benchmark_csv",
-    "generate_environment",
-    "load_benchmark_suite",
-    "load_scenario_script",
-    "render_svg",
-    "run_anytime_scenario",
-]

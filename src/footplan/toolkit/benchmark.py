@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -13,6 +11,7 @@ from pathlib import Path
 from ..geometry import Pose2
 from ..params import ParamsBundle, ParamsError, load_params
 from ..planner import plan
+from ..reading import InputError, decoded, number, numbers
 from ..world import Environment, WorldLoadError, load_environment
 
 CSV_COLUMNS = (
@@ -25,7 +24,7 @@ CSV_COLUMNS = (
 )
 
 
-class BenchmarkError(ValueError):
+class BenchmarkError(InputError):
     """Raised when a benchmark suite document is malformed."""
 
 
@@ -46,33 +45,19 @@ class BenchmarkSuite:
 
 
 def _pose_of(doc, key: str, label: str) -> Pose2:
-    try:
-        x, y, yaw = (float(v) for v in doc[key])
-    except (KeyError, TypeError, ValueError):
-        raise BenchmarkError(f"{label}: field {key!r} must be [x, y, yaw]") from None
-    if not all(math.isfinite(v) for v in (x, y, yaw)):
-        raise BenchmarkError(f"{label}: field {key!r} must be finite")
-    return Pose2(x, y, yaw)
+    return Pose2(*numbers(doc.get(key), 3, f"{label}: field {key!r}", BenchmarkError))
 
 
 def _timeout_of(entry: dict, label: str) -> float:
-    value = entry.get("timeout", 10.0)
-    try:
-        timeout = float(value)
-    except (TypeError, ValueError):
-        raise BenchmarkError(f"{label}: timeout must be a number, got {value!r}") from None
+    timeout = number(entry.get("timeout", 10.0), f"{label}: timeout", BenchmarkError)
     if not timeout > 0:
-        raise BenchmarkError(f"{label}: timeout must be above zero, got {value!r}")
+        raise BenchmarkError(f"{label}: timeout must be above zero, got {timeout!r}")
     return timeout
 
 
 def load_benchmark_suite(document, base_dir: str | os.PathLike = ".") -> BenchmarkSuite:
     """Parse a benchmark suite; environment/params may be inline or file paths."""
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise BenchmarkError(f"invalid JSON: {exc}") from exc
+    document = decoded(document, BenchmarkError)
     if not isinstance(document, dict) or not isinstance(document.get("entries"), list):
         raise BenchmarkError('benchmark suite must be an object with an "entries" list')
     base = Path(base_dir)
@@ -82,7 +67,7 @@ def load_benchmark_suite(document, base_dir: str | os.PathLike = ".") -> Benchma
             path = base / value
             try:
                 text = path.read_text()
-            except OSError as exc:
+            except (OSError, ValueError) as exc:  # also undecodable text or a NUL in the name
                 raise BenchmarkError(f"{label}: cannot read {path} ({exc})") from None
             return loader(text)
         return loader(value)

@@ -18,6 +18,7 @@ from pathlib import Path
 from ..geometry import GeometryError, Pose2
 from ..params import ParamsBundle, ParamsError, load_params
 from ..planner import PlanStatus, feet_from_midstance, plan
+from ..reading import InputError
 from ..validity import RejectionReason
 from ..wiggle import wiggle_plan
 from ..world import WorldLoadError, load_environment, environment_to_json
@@ -35,7 +36,7 @@ _STATUS_EXIT = {
 }
 
 
-class CliInputError(ValueError):
+class CliInputError(InputError):
     """Bad arguments or unreadable/malformed input files."""
 
 
@@ -88,7 +89,7 @@ def _timeout(text: str) -> float:
 def _read_text(path: str, label: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # also text that is not UTF-8
         raise CliInputError(f"cannot read {label} file {path}: {exc}") from None
 
 
@@ -255,17 +256,6 @@ def main(argv=None) -> int:
         if getattr(args, "func", None) is None:
             raise CliInputError("missing command (plan, gen, bench, anytime)")
         return args.func(args)
-    except CliInputError as exc:
+    except (InputError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ParamsError, WorldLoadError, ScenarioError, BenchmarkError, GeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-
-
-def entrypoint():
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

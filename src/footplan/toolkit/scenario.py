@@ -8,20 +8,19 @@ trace entry per tick.
 
 from __future__ import annotations
 
-import json
 import logging
-import math
 from dataclasses import dataclass, field
 
 from ..geometry import GeometryError, Pose2
 from ..params import ParamsBundle, ParamsError, load_params
 from ..planner import PlanStatus, SearchMemo, plan
+from ..reading import InputError, decoded, integer, number, numbers
 from ..world import Environment, PlanarRegion, WorldLoadError, load_environment
 
 log = logging.getLogger("footplan.scenario")
 
 
-class ScenarioError(ValueError):
+class ScenarioError(InputError):
     """Raised when a scenario script is malformed."""
 
 
@@ -47,31 +46,7 @@ class ScenarioScript:
 
 
 def _pose_of(doc, key: str) -> Pose2:
-    value = doc.get(key)
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ScenarioError(f"scenario field {key!r} must be [x, y, yaw]")
-    x, y, yaw = (_number(v, f"scenario field {key!r}") for v in value)
-    if not all(math.isfinite(v) for v in (x, y, yaw)):
-        raise ScenarioError(f"scenario field {key!r} must be finite")
-    return Pose2(x, y, yaw)
-
-
-def _number(value, what: str) -> float:
-    """A JSON number: not a boolean and not a string."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ScenarioError(f"{what} must be a number, got {value!r}") from None
-
-
-def _integer(value, what: str, positive: bool = False) -> int:
-    """A JSON integer: not a float, however whole, and not a boolean."""
-    if not isinstance(value, int) or isinstance(value, bool) or (positive and value < 1):
-        kind = "a positive integer" if positive else "an integer"
-        raise ScenarioError(f"{what} must be {kind}, got {value!r}")
-    return value
+    return Pose2(*numbers(doc.get(key), 3, f"scenario field {key!r}", ScenarioError))
 
 
 def _region_of(doc: dict) -> PlanarRegion:
@@ -80,11 +55,7 @@ def _region_of(doc: dict) -> PlanarRegion:
 
 
 def load_scenario_script(document) -> ScenarioScript:
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"invalid JSON: {exc}") from exc
+    document = decoded(document, ScenarioError)
     if not isinstance(document, dict):
         raise ScenarioError("scenario document must be a JSON object")
     try:
@@ -95,13 +66,14 @@ def load_scenario_script(document) -> ScenarioScript:
     start_right = _pose_of(document, "start_right")
     goal = _pose_of(document, "goal")
 
+    events_doc = document.get("events", [])
+    if not isinstance(events_doc, list):
+        raise ScenarioError(f"events must be a list, got {events_doc!r}")
     events = []
-    for idx, entry in enumerate(document.get("events", [])):
+    for idx, entry in enumerate(events_doc):
         if not isinstance(entry, dict) or "time" not in entry or "action" not in entry:
             raise ScenarioError(f"event {idx}: needs time and action")
-        time = _number(entry["time"], f"event {idx}: time")
-        if not math.isfinite(time):
-            raise ScenarioError(f"event {idx}: time must be finite, got {time!r}")
+        time = number(entry["time"], f"event {idx}: time", ScenarioError)
         action = str(entry["action"])
         if action == "add-region":
             if "region" not in entry:
@@ -114,7 +86,7 @@ def load_scenario_script(document) -> ScenarioScript:
         elif action == "remove-region":
             if "id" not in entry:
                 raise ScenarioError(f"event {idx}: remove-region needs an id")
-            region_id = _integer(entry["id"], f"event {idx}: id")
+            region_id = integer(entry["id"], f"event {idx}: id", ScenarioError)
             events.append(TimelineEvent(time, action, region_id=region_id))
         else:
             raise ScenarioError(f"event {idx}: unknown action {action!r}")
@@ -124,12 +96,12 @@ def load_scenario_script(document) -> ScenarioScript:
         params = load_params(document.get("params", {}))
     except ParamsError as exc:
         raise ScenarioError(f"params: {exc}") from None
-    timeout = _number(document.get("timeout", 1.0), "timeout")
+    timeout = number(document.get("timeout", 1.0), "timeout", ScenarioError)
     if not timeout > 0:
         raise ScenarioError(f"timeout must be above zero, got {timeout!r}")
-    replan_period = _number(document.get("replan_period", 1.0), "replan_period")
-    if not 0 < replan_period < math.inf:
-        raise ScenarioError(f"replan_period must be finite and above zero, got {replan_period!r}")
+    replan_period = number(document.get("replan_period", 1.0), "replan_period", ScenarioError)
+    if not replan_period > 0:
+        raise ScenarioError(f"replan_period must be above zero, got {replan_period!r}")
     return ScenarioScript(
         environment=environment,
         start_left=start_left,
@@ -138,7 +110,9 @@ def load_scenario_script(document) -> ScenarioScript:
         events=tuple(events),
         replan_period=replan_period,
         timeout=timeout,
-        max_ticks=_integer(document.get("max_ticks", 120), "max_ticks", positive=True),
+        max_ticks=integer(
+            document.get("max_ticks", 120), "max_ticks", ScenarioError, positive=True
+        ),
         params=params,
     )
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from typing import NamedTuple
 
 from .constants import NEAR_VERTICAL_NZ, PIECE_OVERLAP_LIMIT
@@ -17,11 +16,12 @@ from .geometry import (
     convex_hull,
     point_to_convex_distance,
 )
+from .reading import InputError, decoded, integer, numbers, points
 
 log = logging.getLogger("footplan.world")
 
 
-class WorldLoadError(ValueError):
+class WorldLoadError(InputError):
     """Raised when an environment document violates the format."""
 
 
@@ -218,11 +218,7 @@ def plane_height_at(region: PlanarRegion, x: float, y: float) -> float | None:
 
 def load_environment(document) -> Environment:
     """Parse an environment from a JSON string or an already-decoded dict."""
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise WorldLoadError(f"invalid JSON: {exc}") from exc
+    document = decoded(document, WorldLoadError)
     if not isinstance(document, dict) or "regions" not in document:
         raise WorldLoadError('environment document must be an object with a "regions" list')
     regions_doc = document["regions"]
@@ -233,39 +229,24 @@ def load_environment(document) -> Environment:
     for idx, entry in enumerate(regions_doc):
         if not isinstance(entry, dict):
             raise WorldLoadError(f"region entry {idx} is not an object")
-        region_id = entry.get("id")
-        if not isinstance(region_id, int) or isinstance(region_id, bool):
-            raise WorldLoadError(f"region entry {idx}: id must be an integer, got {region_id!r}")
+        region_id = integer(entry.get("id"), f"region entry {idx}: id", WorldLoadError)
         label = f"region {region_id}"
+        translation = numbers(entry.get("translation"), 3, f"{label}: translation", WorldLoadError)
+        rotation = numbers(entry.get("rotation"), 9, f"{label}: rotation", WorldLoadError)
         try:
-            translation = [float(v) for v in entry["translation"]]
-            rotation_flat = [float(v) for v in entry["rotation"]]
-            pieces_doc = entry["pieces"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WorldLoadError(f"{label}: missing or malformed field ({exc})") from None
-        if len(translation) != 3:
-            raise WorldLoadError(f"{label}: translation must have 3 entries")
-        if len(rotation_flat) != 9:
-            raise WorldLoadError(f"{label}: rotation must have 9 entries (row-major)")
-        if not all(math.isfinite(v) for v in translation + rotation_flat):
-            raise WorldLoadError(f"{label}: non-finite transform entry")
-        rotation = (rotation_flat[0:3], rotation_flat[3:6], rotation_flat[6:9])
-        try:
-            transform = RigidTransform3(rotation, translation)
+            transform = RigidTransform3((rotation[0:3], rotation[3:6], rotation[6:9]), translation)
         except GeometryError as exc:
             raise WorldLoadError(f"{label}: {exc}") from None
+        pieces_doc = entry.get("pieces")
         if not isinstance(pieces_doc, list) or not pieces_doc:
             raise WorldLoadError(f"{label}: pieces must be a non-empty list")
         pieces = []
         for pidx, piece_doc in enumerate(pieces_doc):
+            what = f"{label}: piece {pidx}"
             try:
-                verts = [(float(p[0]), float(p[1])) for p in piece_doc]
-            except (TypeError, ValueError, IndexError):
-                raise WorldLoadError(f"{label}: piece {pidx} is malformed") from None
-            try:
-                pieces.append(ConvexPolygon2(verts))
+                pieces.append(ConvexPolygon2(points(piece_doc, what, WorldLoadError)))
             except GeometryError as exc:
-                raise WorldLoadError(f"{label}: piece {pidx}: {exc}") from None
+                raise WorldLoadError(f"{what}: {exc}") from None
         regions.append(PlanarRegion(region_id, transform, pieces))
     return Environment(regions)
 

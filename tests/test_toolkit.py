@@ -524,8 +524,40 @@ def test_cli_input_errors_exit_4(tmp_path, stable_env, capsys):
         ["plan", "--env", str(fractional_env), "--start", "0,0,0", "--goal", "1,0,0"],
         "id must be an integer, got 0.9",
     )]
+    for index, (edit, message) in enumerate((
+        (lambda r: r["pieces"][0].__setitem__(0, {"x": 1, "y": 1}),
+         "region 0: piece 0 vertex 0 must be a list of 2 numbers, got {'x': 1, 'y': 1}"),
+        (lambda r: r.__setitem__("translation", "123"),
+         "region 0: translation must be a list of 3 numbers, got '123'"),
+        (lambda r: r.__setitem__("translation", [True, 0, 0]),
+         "region 0: translation must be a number, got True"),
+    )):
+        world = json.loads(env_path.read_text())
+        edit(world["regions"][0])
+        path = tmp_path / f"bad_world{index}.json"
+        path.write_text(json.dumps(world))
+        argv = ["plan", "--env", str(path), "--start", "0,0,0", "--goal", "1,0,0"]
+        bad_numbers.append((argv, message))
+    for index, (sole, message) in enumerate((
+        ([{"x": 0.1, "y": 0.05}, [-0.1, 0.05], [-0.1, -0.05]],
+         "foot_sole vertex 0 must be a list of 2 numbers, got {'x': 0.1, 'y': 0.05}"),
+        ([[True, 0.05], [-0.1, 0.05], [-0.1, -0.05]], "foot_sole vertex 0 must be a number, got True"),
+    )):
+        path = tmp_path / f"bad_sole{index}.json"
+        path.write_text(json.dumps({"foot_sole": sole}))
+        bad_numbers.append((plan + ["--start", "0,0,0", "--goal", "1,0,0", "--params", str(path)],
+                            message))
+    for index, (overrides, message) in enumerate((
+        ({"start_left": "123"}, "entry 'flat-walk': field 'start_left' must be a list of 3 numbers, got '123'"),
+        ({"goal": [True, 0, 0]}, "entry 'flat-walk': field 'goal' must be a number, got True"),
+        ({"timeout": "2"}, "entry 'flat-walk': timeout must be a number, got '2'"),
+    )):
+        path = tmp_path / f"bad_entry{index}.json"
+        path.write_text(json.dumps({"entries": [dict(suite_doc()["entries"][0], **overrides)]}))
+        bad_numbers.append((["bench", "--suite", str(path), "--out", str(tmp_path / "x.csv")], message))
     good_scenario = scenario_doc(Environment([flat_region(0, 1.0, 1.0)]), 0.0, (0.5, 0.0, 0.0))
     for index, (overrides, message) in enumerate((
+        ({"events": 3}, "events must be a list, got 3"),
         ({"events": [{"time": 1.0, "action": "remove-region", "id": 0.9}]},
          "id must be an integer, got 0.9"),
         ({"max_ticks": -3}, "max_ticks must be a positive integer, got -3"),
@@ -706,6 +738,23 @@ def test_numpy_is_imported_only_by_the_wiggle_qp():
             if any(m.split(".")[0] == "numpy" for m in modules):
                 importers.add(path.relative_to(package).as_posix())
     assert importers == {"wiggle.py"}
+
+
+def test_only_the_reading_module_decodes_json():
+    # one module decides what an input number is, so the loaders cannot drift
+    package = Path(footplan.__file__).parent
+    decoders = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [node.attr] if node.value.id == "json" else []
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if {"load", "loads"} & set(names):
+                decoders.add(path.relative_to(package).as_posix())
+    assert decoders == {"reading.py"}
 
 
 def tilted_block_world(seed):

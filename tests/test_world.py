@@ -242,7 +242,7 @@ def test_load_rejects_malformed_documents():
         load_environment(json.dumps({"no_regions": []}))
     with pytest.raises(WorldLoadError):
         load_environment(json.dumps({"regions": [{"id": 0}]}))
-    with pytest.raises(WorldLoadError, match="non-finite"):
+    with pytest.raises(WorldLoadError, match="must be finite"):
         load_environment(
             json.dumps(
                 {
