@@ -22,6 +22,7 @@ SNAP_HEIGHT_TIE = 1e-6      # highest-vertex ties closer than this break by lowe
 # Lattice
 YAW_DIVISION_TOL = 1e-9     # yaw_resolution must divide a full turn within this
 EXPANSION_BOUND_SLACK = 1e-9
+MAX_EXPANSION_SCAN = 1e6    # cells x yaw steps a params file may ask one reach-box scan for
 
 # Search / costing
 COST_EPS = 1e-12

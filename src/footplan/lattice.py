@@ -112,6 +112,28 @@ def pose_to_node(pose: Pose2, side: Side, params: LatticeParams) -> FootstepNode
     )
 
 
+def expansion_scan_bound(lattice: LatticeParams, expansion: ExpansionParams) -> float:
+    """An upper bound on the work of one `_expansion_offsets` scan: the cells
+    of its bounding rectangle times its yaw steps (at least one).
+
+    The rectangle holds the reach box, whose corners lie within their
+    farthest distance from the stance foot, clipped to max_reach; a side of
+    it spans at most twice that over xy_resolution, plus four cells of
+    rounding and margin. Computed in floats, so no params overflow it.
+    """
+    radius = min(
+        expansion.max_reach,
+        max(
+            math.hypot(length, width)
+            for length in (expansion.min_length, expansion.max_length)
+            for width in (expansion.min_width, expansion.max_width)
+        ),
+    )
+    side = 2.0 * radius / lattice.xy_resolution + 4.0
+    yaw_span = (expansion.max_yaw_delta - expansion.min_yaw_delta) / lattice.yaw_resolution
+    return side * side * (yaw_span + 1.0 + 2.0 * EXPANSION_BOUND_SLACK)
+
+
 @lru_cache(maxsize=512)
 def _expansion_offsets(
     lattice: LatticeParams, expansion: ExpansionParams, side: Side, yaw_index: int

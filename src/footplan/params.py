@@ -10,9 +10,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 
+from .constants import MAX_EXPANSION_SCAN
 from .costing import CostParams
 from .geometry import ConvexPolygon2, GeometryError, Pose2
-from .lattice import ExpansionParams, LatticeParams
+from .lattice import ExpansionParams, LatticeParams, expansion_scan_bound
 from .planner import PlannerRequest, SearchMemo
 from .reading import InputError, decoded, number, points
 from .snapping import FootPolygon, default_foot
@@ -38,6 +39,13 @@ class ParamsBundle:
     def __post_init__(self):
         if self.wiggle.inset_distance >= self.lattice.xy_resolution:
             raise ParamsError("wiggle_inset_distance must be below xy_resolution")
+        scan = expansion_scan_bound(self.lattice, self.expansion)
+        if scan > MAX_EXPANSION_SCAN:
+            raise ParamsError(
+                f"the lattice and expansion ask for a reach-box scan of {scan:.3g} cells x yaw"
+                f" steps, over the limit of {MAX_EXPANSION_SCAN:.0e}; coarsen xy_resolution or"
+                " yaw_resolution, or shrink the expansion box"
+            )
 
     def planner_request(
         self, env, start_left: Pose2, start_right: Pose2, goal: Pose2, timeout: float,

@@ -28,7 +28,7 @@ from .lattice import (
     node_to_pose,
     pose_to_node,
 )
-from .snapping import FootPolygon, SnapFailure, SnapResult, default_foot, snap_pose
+from .snapping import FootPolygon, SnapFailure, SnapResult, default_foot, regions_near, snap_pose
 from .validity import (
     FOOTHOLD_REASONS,
     CheckerParams,
@@ -51,19 +51,23 @@ class PlanStatus(enum.Enum):
 
 
 class SearchMemo:
-    """Snaps and edge verdicts kept from one search to the next, for a
-    replanning loop that plans again and again in one world.
+    """Snaps, the regions near each lattice cell and edge verdicts, kept from
+    one search to the next, for a replanning loop that plans again and again
+    in one world.
 
-    A snap depends only on its node, the lattice, the world and the foot, and
-    an edge's verdict only on its two snaps, the world, the checker and the
-    foot. So the memo holds while the request's `env` is the same object and
-    its `lattice`, `foot` and `checker` are equal; `bind` empties it on any
-    other request. Costs and heuristics are not kept: the heuristic depends
-    on the start.
+    A snap depends only on its node, the lattice, the world and the foot; the
+    regions near a cell (x_index, y_index), `regions_near` at its center,
+    only on the cell, the lattice, the world and the foot; and an edge's
+    verdict only on its two snaps, the world, the checker and the foot. So
+    the memo holds while the request's `env` is the same object and its
+    `lattice`, `foot` and `checker` are equal; `bind` empties it on any other
+    request. Costs and heuristics are not kept: the heuristic depends on the
+    start.
     """
 
     def __init__(self):
         self.snaps: dict[FootstepNode, SnapResult | SnapFailure] = {}
+        self.regions: dict[tuple[int, int], tuple[PlanarRegion, ...]] = {}
         self.verdicts: dict[tuple[FootstepNode, FootstepNode], RejectionReason | None] = {}
         self._env: Environment | None = None
         self._params: tuple = ()
@@ -77,6 +81,7 @@ class SearchMemo:
 
     def clear(self):
         self.snaps.clear()
+        self.regions.clear()
         self.verdicts.clear()
         self._env, self._params = None, ()
 
@@ -310,11 +315,12 @@ class _Search:
     whose foothold fails a check of its own gets h = inf, and no edge into
     it is pushed again.
 
-    The snap memo and the verdict memo, (parent, child) -> `validate_edge`'s
-    answer, live in a `SearchMemo`: the request's, kept from earlier searches
-    in the same world, or a fresh one. A verdict read from the memo counts
-    as an evaluation, as a fresh one does, so the counters and the search
-    are those of a search with an empty memo.
+    The snap memo, the regions near each cell and the verdict memo,
+    (parent, child) -> `validate_edge`'s answer, live in a `SearchMemo`: the
+    request's, kept from earlier searches in the same world, or a fresh one.
+    A verdict read from the memo counts as an evaluation, as a fresh one
+    does, so the counters and the search are those of a search with an empty
+    memo.
     """
 
     def __init__(self, request: PlannerRequest):
@@ -327,7 +333,7 @@ class _Search:
         self.seq = 0
         memo = request.memo or SearchMemo()
         memo.bind(request)
-        self.snap_memo, self.verdicts = memo.snaps, memo.verdicts
+        self.snap_memo, self.near, self.verdicts = memo.snaps, memo.regions, memo.verdicts
         self.h_memo: dict[FootstepNode, float] = {}
         self.cells: dict[tuple[Side, int], tuple[tuple, int]] = {}  # rows, child count
         self.stats = SearchStats()
@@ -341,8 +347,13 @@ class _Search:
     def snap(self, node: FootstepNode) -> SnapResult | SnapFailure:
         cached = self.snap_memo.get(node)
         if cached is None:
-            pose = node_to_pose(node, self.request.lattice)
-            cached = snap_pose(pose, self.request.env, self.request.foot)
+            request = self.request
+            pose = node_to_pose(node, request.lattice)
+            cell = node.x_index, node.y_index
+            regions = self.near.get(cell)
+            if regions is None:
+                regions = self.near[cell] = regions_near(pose.x, pose.y, request.env, request.foot)
+            cached = snap_pose(pose, request.env, request.foot, regions)
             self.snap_memo[node] = cached
         return cached
 

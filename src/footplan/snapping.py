@@ -7,6 +7,10 @@ preserved; pitch and roll come from aligning the sole to the plane.
 A snapped foothold is a SnapResult of plain floats plus its sole in world xy.
 `crop_foothold` builds every SnapResult, for the search and for the wiggle,
 and is the one place a snapped sole is put in world coordinates.
+
+The regions a foot may touch depend only on its center, so a caller that
+snaps many yaws at one (x, y) computes them once (`regions_near`) and passes
+them to `snap_pose`.
 """
 
 from __future__ import annotations
@@ -70,7 +74,9 @@ class SnapResult:
 
     `rotation` holds the rows of `align_to_normal`'s rotation.
     `sole` is the snapped sole in world xy and `piece_index` the region piece
-    it overlaps most (None when it overlaps none).
+    it overlaps most (None when it overlaps none). `crop` is the sole clipped
+    to that piece, in world xy, or None when no clip is above a sliver;
+    `cropped_foothold` is the same crop in the foot frame, built when read.
     """
 
     x: float
@@ -80,7 +86,7 @@ class SnapResult:
     surface_roll: float
     surface_pitch: float
     region_id: int
-    cropped_foothold: ConvexPolygon2 | None
+    crop: tuple[Point2, ...] | None
     area_fraction: float
     rotation: Rotation3
     sole: tuple[Point2, ...]
@@ -93,6 +99,23 @@ class SnapResult:
     @cached_property
     def planar_pose(self) -> Pose2:
         return Pose2(self.x, self.y, self.yaw)
+
+    @cached_property
+    def cropped_foothold(self) -> ConvexPolygon2 | None:
+        """`crop` in the foot frame: the supported part of the sole. None
+        when there is no crop or it is not a valid polygon."""
+        if self.crop is None:
+            return None
+        (l00, l01, _), (l10, l11, _), _ = self.rotation
+        det = l00 * l11 - l01 * l10
+        x, y = self.x, self.y
+        try:
+            return ConvexPolygon2([
+                ((l11 * (px - x) - l01 * (py - y)) / det, (l00 * (py - y) - l10 * (px - x)) / det)
+                for px, py in self.crop
+            ])
+        except GeometryError:
+            return None
 
     def to_world(self, points) -> tuple[Point2, ...]:
         """Foot-frame points placed in world xy, as the sole is."""
@@ -160,7 +183,7 @@ def crop_foothold(
     The intersection is computed in plan view; both the sole and the crop pick
     up the same plane-tilt area factor there, so the fraction transfers
     unchanged. A non-convex multi-piece intersection keeps every piece for the
-    fraction but only the largest piece as the polygon.
+    fraction but only the largest piece as the crop.
     """
     z = plane_height_at(region, x, y)
     rotation, roll, pitch = align_to_normal(yaw, region.up_normal)
@@ -168,7 +191,7 @@ def crop_foothold(
     (l00, l01, _), (l10, l11, _), _ = rotation
     det = l00 * l11 - l01 * l10
 
-    cropped = None
+    crop = None
     fraction = 0.0
     best_index = None
     if det > 0.0:
@@ -185,29 +208,42 @@ def crop_foothold(
                 best_index = index
         fraction = max(0.0, min(1.0, total / (foot.sole.area * det)))
         if best_piece is not None and best_area > SLIVER_AREA:
-            foot_frame = [
-                ((l11 * (px - x) - l01 * (py - y)) / det, (l00 * (py - y) - l10 * (px - x)) / det)
-                for px, py in best_piece
-            ]
-            try:
-                cropped = ConvexPolygon2(foot_frame)
-            except GeometryError:
-                pass
+            crop = tuple(best_piece)
     return SnapResult(
         x, y, z, yaw_of_rotation(rotation), roll, pitch, region.region_id,
-        cropped, fraction, rotation, sole, best_index,
+        crop, fraction, rotation, sole, best_index,
     )
 
 
-def snap_pose(pose: Pose2, env: Environment, foot: FootPolygon) -> SnapResult | SnapFailure:
-    """Snap a planar foot pose onto the highest intersecting region."""
+def regions_near(
+    x: float, y: float, env: Environment, foot: FootPolygon
+) -> tuple[PlanarRegion, ...]:
+    """The regions a foot centered at (x, y) can touch at any yaw: those whose
+    plan-view pieces come within its circumradius."""
+    return tuple(
+        env.region(rid)
+        for rid in regions_overlapping_disc(env, (x, y), foot.circumradius + 1e-9)
+    )
+
+
+def snap_pose(
+    pose: Pose2,
+    env: Environment,
+    foot: FootPolygon,
+    regions: tuple[PlanarRegion, ...] | None = None,
+) -> SnapResult | SnapFailure:
+    """Snap a planar foot pose onto the highest intersecting region.
+
+    `regions` are `regions_near(pose.x, pose.y, env, foot)`, computed here
+    unless the caller kept them for the pose's (x, y).
+    """
+    if regions is None:
+        regions = regions_near(pose.x, pose.y, env, foot)
     footprint = transform_points(foot.sole.vertices, pose)
-    candidate_ids = regions_overlapping_disc(env, (pose.x, pose.y), foot.circumradius + 1e-9)
 
     touching = []
     saw_vertical = False
-    for rid in candidate_ids:
-        region = env.region(rid)
+    for region in regions:
         if not any(polygons_overlap(footprint, piece) for piece in region.projected_pieces):
             continue
         if not region.snappable:

@@ -49,6 +49,15 @@ def _pose_of(doc, key: str) -> Pose2:
     return Pose2(*numbers(doc.get(key), 3, f"scenario field {key!r}", ScenarioError))
 
 
+def _object_of(doc: dict, key: str) -> dict:
+    """The JSON object under `key`, {} when it is missing. A string is refused:
+    the loaders would decode it as JSON text, where a suite reads a file name."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ScenarioError(f"scenario field {key!r} must be a JSON object, got {value!r}")
+    return value
+
+
 def _region_of(doc: dict) -> PlanarRegion:
     loaded = load_environment({"regions": [doc]})
     return loaded.regions[0]
@@ -59,7 +68,7 @@ def load_scenario_script(document) -> ScenarioScript:
     if not isinstance(document, dict):
         raise ScenarioError("scenario document must be a JSON object")
     try:
-        environment = load_environment(document.get("environment", {}))
+        environment = load_environment(_object_of(document, "environment"))
     except WorldLoadError as exc:
         raise ScenarioError(f"environment: {exc}") from None
     start_left = _pose_of(document, "start_left")
@@ -93,7 +102,7 @@ def load_scenario_script(document) -> ScenarioScript:
     events.sort(key=lambda e: e.time)
 
     try:
-        params = load_params(document.get("params", {}))
+        params = load_params(_object_of(document, "params"))
     except ParamsError as exc:
         raise ScenarioError(f"params: {exc}") from None
     timeout = number(document.get("timeout", 1.0), "timeout", ScenarioError)

@@ -64,7 +64,7 @@ def fake_snap(x, y, yaw=0.0, z=0.0, fraction=1.0, roll=0.0, pitch=0.0):
         surface_roll=roll,
         surface_pitch=pitch,
         region_id=0,
-        cropped_foothold=None,
+        crop=None,
         area_fraction=fraction,
         rotation=rotation_z(yaw),
         sole=(),

@@ -2,12 +2,14 @@
 
 import json
 import math
+import random
+import time
 from dataclasses import fields
 
 import pytest
 
 from footplan.costing import CostParams
-from footplan.lattice import ExpansionParams, LatticeParams
+from footplan.lattice import ExpansionParams, LatticeParams, Side
 from footplan.params import ParamsBundle, ParamsError, load_params, params_to_dict, params_to_json
 from footplan.validity import CheckerParams
 from footplan.wiggle import WiggleParams
@@ -148,3 +150,66 @@ def test_inset_must_stay_below_the_lattice_resolution():
 def test_foot_sole_must_surround_the_ankle():
     with pytest.raises(ParamsError):
         load_params({"foot_sole": [[0.3, 0.1], [0.1, 0.1], [0.1, -0.1], [0.3, -0.1]]})
+
+
+# Reach-box scans no params file may ask for: a 1000 m box (about 4x10^8
+# cells per yaw bin), a micrometre lattice (about 10^12 cells) and a yaw
+# resolution of a billionth of a turn (about 1.7x10^8 yaw steps per cell).
+HUGE_SCANS = [
+    {"expansion_max_length": 1000.0, "expansion_max_width": 1000.0, "expansion_max_reach": 1000.0},
+    {"xy_resolution": 1e-6, "wiggle_inset_distance": 1e-7},
+    {"yaw_resolution": math.tau / 1e9},
+]
+
+
+@pytest.mark.parametrize("doc", HUGE_SCANS)
+def test_a_huge_reach_box_scan_exits_4_before_any_scan(doc, tmp_path, monkeypatch, capsys):
+    from footplan import lattice
+    from footplan.toolkit.cli import main as cli_main
+    from footplan.world import Environment, environment_to_json
+    from test_world import flat_region
+
+    def no_scan(*args):
+        raise AssertionError("the reach box was scanned")
+
+    monkeypatch.setattr(lattice, "_expansion_offsets", no_scan)
+    env_path = tmp_path / "env.json"
+    env_path.write_text(environment_to_json(Environment([flat_region(0, 4.0, 2.0)])))
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps(doc))
+    argv = ["plan", "--env", str(env_path), "--start", "0,0,0", "--goal", "1,0,0",
+            "--params", str(params_path)]
+    t0 = time.perf_counter()
+    assert cli_main(argv) == 4
+    assert time.perf_counter() - t0 < 0.5
+    assert "reach-box scan" in capsys.readouterr().err
+
+
+def test_every_benchmark_params_document_loads():
+    from test_lazy_search import load_workloads
+
+    workloads = load_workloads()
+    documents = [value for name, value in vars(workloads).items() if name.endswith("_PARAMS")]
+    assert len(documents) == 4
+    for document in documents:
+        load_params(document)
+
+
+def test_the_scan_bound_covers_every_expansion_and_admits_the_defaults():
+    from footplan.lattice import _expansion_offsets, expansion_scan_bound
+
+    rng = random.Random(5)
+    for _ in range(200):
+        lattice = LatticeParams(rng.choice((0.05, 0.1, 0.2)), math.tau / rng.choice((4, 8, 36)))
+        lo_len, lo_wid = rng.uniform(-0.4, 0.3), rng.uniform(-0.2, 0.3)
+        lo_yaw = rng.uniform(-1.0, 0.5)
+        expansion = ExpansionParams(
+            lo_len, lo_len + rng.uniform(0.0, 0.6), lo_wid, lo_wid + rng.uniform(0.0, 0.5),
+            lo_yaw, lo_yaw + rng.uniform(0.0, 1.2), rng.uniform(0.1, 0.8),
+        )
+        bound = expansion_scan_bound(lattice, expansion)
+        for yaw_index in range(lattice.yaw_count):
+            for side in Side:
+                # every offset comes from one cell of the scan and one yaw step
+                assert len(_expansion_offsets(lattice, expansion, side, yaw_index)) <= bound
+    assert expansion_scan_bound(LatticeParams(), ExpansionParams()) < 1e4

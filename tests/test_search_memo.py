@@ -100,9 +100,11 @@ SCRIPTS = {"criterion-7": CRITERION_7, "two-walls-left": two_walls(1.0),
 
 
 def snap_fields(snap):
+    """A snap's fields, and its crop polygon, which is built when read."""
     if not isinstance(snap, SnapResult):
         return snap
-    return tuple(getattr(snap, f.name) for f in dataclasses.fields(SnapResult))
+    fields = tuple(getattr(snap, f.name) for f in dataclasses.fields(SnapResult))
+    return fields + (snap.cropped_foothold,)
 
 
 def assert_same_result(memoised: PlannerResult, fresh: PlannerResult):

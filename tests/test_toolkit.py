@@ -1,6 +1,7 @@
 """Toolkit surface: generators, scenario runner, benchmark CSV, SVG, CLI."""
 
 import ast
+import importlib.util
 import json
 import math
 import os
@@ -617,6 +618,23 @@ def test_cli_input_errors_exit_4(tmp_path, stable_env, capsys):
     assert "banana" in capsys.readouterr().err
 
 
+def test_scenario_environment_and_params_must_be_json_objects(tmp_path, stable_env, capsys):
+    # a string there would load as JSON text, though in a suite it names a file
+    good = scenario_doc(Environment([flat_region(0, 1.0, 1.0)]), 0.0, (0.5, 0.0, 0.0))
+    load_scenario_script(good)
+    for key in ("environment", "params"):
+        for value in (json.dumps(good[key]), f"{key}.json", [good[key]], 3, None):
+            message = f"scenario field {key!r} must be a JSON object, got {value!r}"
+            with pytest.raises(ScenarioError) as caught:
+                load_scenario_script(dict(good, **{key: value}))
+            assert str(caught.value) == message
+            path = tmp_path / f"inline_{key}.json"
+            path.write_text(json.dumps(dict(good, **{key: value})))
+            argv = ["anytime", "--scenario", str(path), "--out", str(tmp_path / "x.json")]
+            assert cli_main(argv) == 4
+            assert message in capsys.readouterr().err
+
+
 def test_cli_plan_svg_is_stable(tmp_path, stable_env, capsys):
     env_path = write_flat_env(tmp_path)
     params_path = write_params(tmp_path)
@@ -755,6 +773,32 @@ def test_only_the_reading_module_decodes_json():
             if {"load", "loads"} & set(names):
                 decoders.add(path.relative_to(package).as_posix())
     assert decoders == {"reading.py"}
+
+
+def test_every_traced_call_site_is_still_called():
+    # The benchmark's tracer wraps each (module, name) of its CALL_SITES in that
+    # module's globals, so it sees only the calls the module makes by that name.
+    # A site nothing calls reads 0 in its per-layer metric, silently.
+    spans = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    sites = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(spans.read_text()).body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "CALL_SITES" for target in node.targets)
+    )
+    dead = set()
+    for module, name, _ in sites:
+        source = Path(importlib.util.find_spec(module).origin).read_text()
+        called = {
+            node.func.id
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        if name not in called:
+            dead.add((module, name))
+    # The search opens lattice cells from cost-bound rows and no longer calls
+    # expand_node; a site fixed or newly dead must update this set.
+    assert dead == {("footplan.planner", "expand_node")}
 
 
 def tilted_block_world(seed):

@@ -96,7 +96,7 @@ def test_incline_combines_roll_and_pitch():
         surface_roll=math.radians(30.0),
         surface_pitch=math.radians(30.0),
         region_id=0,
-        cropped_foothold=None,
+        crop=None,
         area_fraction=1.0,
         rotation=np.eye(3),
         sole=(),
@@ -424,7 +424,7 @@ def bare_snap(x, y, z, yaw):
     """A foothold record carrying only the pose the collision checks read."""
     return SnapResult(
         x=x, y=y, z=z, yaw=yaw, surface_roll=0.0, surface_pitch=0.0, region_id=0,
-        cropped_foothold=None, area_fraction=1.0, rotation=np.eye(3), sole=(), piece_index=None,
+        crop=None, area_fraction=1.0, rotation=np.eye(3), sole=(), piece_index=None,
     )
 
 
