@@ -85,15 +85,25 @@ def edge_cost(
     )
 
 
-def edge_cost_bounds(
+@lru_cache(maxsize=512)
+def cell_cost_bounds(
     lattice: LatticeParams,
     expansion: ExpansionParams,
     params: CostParams,
     side: Side,
     yaw_index: int,
-) -> tuple[float, ...]:
+) -> tuple[tuple[tuple[int, int, int, float, tuple[tuple[int, float], ...]], ...], int]:
     """A lower bound on `edge_cost` for each step `expand_node` makes from a
-    `side` parent in yaw bin `yaw_index`, in `expand_node`'s order.
+    `side` parent in yaw bin `yaw_index`, grouped by lattice cell, and the
+    number of steps.
+
+    There is one row per run of `expand_node`'s children that share an
+    (x, y) index offset, in `expand_node`'s order. A row is (dx_index,
+    dy_index, first, least, members): `first` is the position of the run's
+    first child in `expand_node`'s order, `least` the run's smallest bound,
+    and `members` the (yaw_index, bound) of each child of the run in order.
+    `expand_node` sorts by stance-frame offset, so each cell's children form
+    one run.
 
     The bound is the planar part of the cost (midstance displacement, yaw
     change, per-step charge) on lattice poses, less COST_BOUND_EPS; the
@@ -105,48 +115,24 @@ def edge_cost_bounds(
     """
     parent = FootstepNode(0, 0, yaw_index, side)
     parent_pose = node_to_pose(parent, lattice)
-    bounds = []
-    for child in expand_node(parent, lattice, expansion):
+    children = expand_node(parent, lattice, expansion)
+    runs: list[tuple[int, int, int, list]] = []
+    for first, child in enumerate(children):
         d_mid, d_yaw = _planar_terms(
             parent_pose, node_to_pose(child, lattice), side, params.nominal_stance_width
         )
-        bounds.append(
+        bound = (
             params.w_distance * d_mid + params.w_yaw * d_yaw + params.cost_per_step
             - COST_BOUND_EPS
         )
-    return tuple(bounds)
-
-
-@lru_cache(maxsize=512)
-def cell_cost_bounds(
-    lattice: LatticeParams,
-    expansion: ExpansionParams,
-    params: CostParams,
-    side: Side,
-    yaw_index: int,
-) -> tuple[tuple[int, int, int, float, tuple[tuple[int, float], ...]], ...]:
-    """`edge_cost_bounds` grouped by lattice cell: one row per run of
-    `expand_node`'s children from a `side` parent in yaw bin `yaw_index`
-    that share an (x, y) index offset, in `expand_node`'s order.
-
-    A row is (dx_index, dy_index, first, least, members): `first` is the
-    position of the run's first child in `expand_node`'s order, `least` the
-    run's smallest bound, and `members` the (yaw_index, bound) of each child
-    of the run in order. `expand_node` sorts by stance-frame offset, so each
-    cell's children form one run.
-    """
-    parent = FootstepNode(0, 0, yaw_index, side)
-    children = expand_node(parent, lattice, expansion)
-    bounds = edge_cost_bounds(lattice, expansion, params, side, yaw_index)
-    runs: list[tuple[int, int, int, list]] = []
-    for first, (child, bound) in enumerate(zip(children, bounds)):
         if not runs or runs[-1][:2] != (child.x_index, child.y_index):
             runs.append((child.x_index, child.y_index, first, []))
         runs[-1][3].append((child.yaw_index, bound))
-    return tuple(
+    rows = tuple(
         (dx, dy, first, min(bound for _, bound in members), tuple(members))
         for dx, dy, first, members in runs
     )
+    return rows, len(children)
 
 
 def reference_yaw(position: Point2, goal: Pose2, start: Pose2, params: CostParams) -> float:

@@ -140,16 +140,9 @@ def rectangle_polygon(length: float, width: float, center: Point2 = (0.0, 0.0)) 
     )
 
 
-@dataclass(frozen=True)
-class HalfPlaneSet:
-    """Intersection of half-planes normal . p <= offset, unit outward normals."""
-
-    normals: tuple[Point2, ...]
-    offsets: tuple[float, ...]
-
-
-def polygon_half_planes(polygon: ConvexPolygon2) -> HalfPlaneSet:
-    """Edge half-planes of a CCW convex polygon, outward unit normals."""
+def polygon_half_planes(polygon: ConvexPolygon2) -> tuple[tuple[Point2, ...], tuple[float, ...]]:
+    """Edge half-planes normal . p <= offset of a CCW convex polygon, as
+    (normals, offsets) with unit outward normals."""
     normals = []
     offsets = []
     verts = polygon.vertices
@@ -162,7 +155,7 @@ def polygon_half_planes(polygon: ConvexPolygon2) -> HalfPlaneSet:
         nx, ny = ey / length, -ex / length
         normals.append((nx, ny))
         offsets.append(nx * ax + ny * ay)
-    return HalfPlaneSet(tuple(normals), tuple(offsets))
+    return tuple(normals), tuple(offsets)
 
 
 def point_in_polygon(point, polygon: ConvexPolygon2, slack: float = BOUNDARY_SLACK) -> bool:

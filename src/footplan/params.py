@@ -37,6 +37,8 @@ class ParamsBundle:
     goal_tolerance_yaw: float = 0.3
 
     def __post_init__(self):
+        if not (self.goal_tolerance > 0 and self.goal_tolerance_yaw > 0):  # NaN too
+            raise ParamsError("goal_tolerance and goal_tolerance_yaw must be positive")
         if self.wiggle.inset_distance >= self.lattice.xy_resolution:
             raise ParamsError("wiggle_inset_distance must be below xy_resolution")
         scan = expansion_scan_bound(self.lattice, self.expansion)

@@ -10,7 +10,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .constants import BOUNDARY_SLACK, REACH_SLACK
 from .costing import (
     CostParams,
     cell_cost_bounds,
@@ -18,7 +17,7 @@ from .costing import (
     heuristic_cost,
     position_heuristic,
 )
-from .geometry import Point2, Pose2, convex_sets_distance, point_to_convex_distance, wrap_angle
+from .geometry import Pose2, wrap_angle
 from .lattice import (
     ExpansionParams,
     FootstepNode,
@@ -28,6 +27,7 @@ from .lattice import (
     node_to_pose,
     pose_to_node,
 )
+from .region_chain import no_region_chain
 from .snapping import FootPolygon, SnapFailure, SnapResult, default_foot, regions_near, snap_pose
 from .validity import (
     FOOTHOLD_REASONS,
@@ -178,128 +178,13 @@ def _within_goal(pose: Pose2, target: Pose2, request: PlannerRequest) -> bool:
     return abs(wrap_angle(pose.yaw - target.yaw)) <= request.goal_tolerance_yaw + 1e-12
 
 
-def _box_gap(a, b) -> float:
-    """Distance between two (x_lo, y_lo, x_hi, y_hi) boxes: a lower bound on
-    the distance between any sets inside them."""
-    return math.hypot(max(a[0] - b[2], b[0] - a[2], 0.0), max(a[1] - b[3], b[1] - a[3], 0.0))
-
-
-def _no_region_chain(
-    request: PlannerRequest, start_feet: list[SnapResult], goal_points: list[Point2]
-) -> str | None:
-    """Why no path can exist, or None when a chain of regions may link a start
-    foot to the goal.
-
-    Every foothold the search accepts lies near its region's plan-view hull:
-    - With a centrally symmetric sole and min_area_fraction - BOUNDARY_SLACK
-      above 1/2, its center is inside the hull, up to rounding (`grow` =
-      REACH_SLACK). Suppose the center lies outside a half-plane that holds
-      the hull. Reflecting the sole through its center maps the part inside
-      that half-plane to a part outside it, so at most half the sole is
-      supported and the foothold fails `check_area`.
-    - Otherwise the snapped sole overlaps the region, so its center is within
-      the foot's circumradius of the hull (`grow`).
-    A foothold's z is its region's plane height at the center, so it lies
-    within grow x the plane's slope of the region's [z_min, z_max].
-    Every accepted edge also passes `check_step_geometry`'s max_reach and
-    step height limits. So a path is a chain from a start foot (a snapped
-    lattice point, never area-checked) through regions whose hulls lie within
-    max_reach + BOUNDARY_SLACK + 2 grow of each other (one grow from a start
-    foot), each region's height range within max_step_up above or
-    max_step_down below the one before, ending on a region within
-    goal_tolerance + grow of a goal foot. The height limits make the links
-    directed. Walls cannot be stood on and are left out.
-    """
-    foot, checker = request.foot, request.checker
-    if foot.centrally_symmetric and checker.min_area_fraction - BOUNDARY_SLACK > 0.5:
-        grow = REACH_SLACK
-    else:
-        grow = foot.circumradius
-    goal_bound = request.goal_tolerance + grow
-    for start in start_feet:
-        if any(math.hypot(start.x - gx, start.y - gy) <= goal_bound for gx, gy in goal_points):
-            return None
-    step = checker.max_reach + BOUNDARY_SLACK + grow
-
-    def bound(item) -> float:
-        return step + grow if isinstance(item, PlanarRegion) else step
-
-    def gap(item, region: PlanarRegion, cutoff: float = math.inf) -> float:
-        """Distance from a start foot or a region to a region's hull, or a
-        lower bound on it above `cutoff`."""
-        if isinstance(item, PlanarRegion):
-            box = item.bounds_xy
-        else:
-            box = (item.x, item.y, item.x, item.y)
-        lower = _box_gap(box, region.bounds_xy)
-        if lower > cutoff:
-            return lower
-        if isinstance(item, PlanarRegion):
-            return convex_sets_distance(item.hull_xy, region.hull_xy)
-        return point_to_convex_distance((item.x, item.y), region.hull_xy)
-
-    def heights(item) -> tuple[float, float]:
-        if isinstance(item, PlanarRegion):
-            a, b, _ = item.plane_coeffs
-            margin = grow * math.hypot(a, b) + REACH_SLACK
-            return item.z_min - margin, item.z_max + margin
-        return item.z, item.z
-
-    def climb(item, region: PlanarRegion) -> tuple[float, float, str]:
-        """The least rise or drop a step from `item` onto `region` takes
-        beyond its limit, that limit and the limit's name; the excess is at
-        most 0 when the step height allows the step."""
-        lo, hi = heights(item)
-        region_lo, region_hi = heights(region)
-        rise = region_lo - hi
-        if rise - checker.max_step_up > lo - region_hi - checker.max_step_down:
-            return rise - checker.max_step_up, checker.max_step_up, "rise"
-        return lo - region_hi - checker.max_step_down, checker.max_step_down, "drop"
-
-    def linked(item, region: PlanarRegion) -> bool:
-        limit = bound(item)
-        return gap(item, region, limit) <= limit and climb(item, region)[0] <= BOUNDARY_SLACK
-
-    def at_goal(region: PlanarRegion) -> bool:
-        return any(point_to_convex_distance(g, region.hull_xy) <= goal_bound for g in goal_points)
-
-    unreached = [region for region in request.env.regions if region.snappable]
-    reached = list(start_feet)
-    stack = list(start_feet)
-    while stack:
-        item = stack.pop()
-        if isinstance(item, PlanarRegion) and at_goal(item):
-            return None
-        links = [region for region in unreached if linked(item, region)]
-        unreached = [region for region in unreached if region not in links]
-        reached += links
-        stack += links
-
-    if not any(at_goal(region) for region in unreached):
-        return f"no standable region within {goal_bound:.2f} m of a goal foot"
-    pairs = [(item, region) for item in reached for region in unreached]
-    nearest, limit = min(
-        ((gap(item, region), bound(item)) for item, region in pairs),
-        key=lambda pair: pair[0] - pair[1],
-    )
-    if nearest > limit:
-        return f"no region chain within reach: nearest gap {nearest:.2f} m > bound {limit:.2f} m"
-    excess, height_limit, kind = min(
-        climb(item, region) for item, region in pairs if gap(item, region) <= bound(item)
-    )
-    return (
-        f"no region chain within step height: least {kind} {excess + height_limit:.2f} m"
-        f" > limit {height_limit:.2f} m"
-    )
-
-
 class _Search:
     """Single-search mutable state: scores, parents, frontier, and memo caches.
 
     The frontier holds three kinds of entries, ordered by (f, h, seq):
     - a scored node, (g + h, h, seq, node, None);
     - a lazy edge, (g(parent) + lb + h(child), h(child), seq, child, parent),
-      where lb is `edge_cost_bounds`' lower bound on the step's cost;
+      where lb is the step's lower bound on its cost from `cell_cost_bounds`;
     - a cell, (g(parent) + least lb + h_pos, -1.0, seq, parent, row): the
       edges from an expanded parent into one lattice cell (x, y), where row
       is the cell's `cell_cost_bounds` row and h_pos its
@@ -335,7 +220,6 @@ class _Search:
         memo.bind(request)
         self.snap_memo, self.near, self.verdicts = memo.snaps, memo.regions, memo.verdicts
         self.h_memo: dict[FootstepNode, float] = {}
-        self.cells: dict[tuple[Side, int], tuple[tuple, int]] = {}  # rows, child count
         self.stats = SearchStats()
         self.best_node: FootstepNode | None = None
         self.best_key: tuple[float, float] | None = None
@@ -390,13 +274,9 @@ class _Search:
         """Reserve a seq per child of an expanded node and push a cell per
         lattice cell, or the edge itself for a cell with one child."""
         request = self.request
-        table = self.cells.get((node.side, node.yaw_index))
-        if table is None:
-            rows = cell_cost_bounds(
-                request.lattice, request.expansion, request.cost, node.side, node.yaw_index
-            )
-            table = self.cells[node.side, node.yaw_index] = (rows, sum(len(r[4]) for r in rows))
-        cells, count = table
+        cells, count = cell_cost_bounds(
+            request.lattice, request.expansion, request.cost, node.side, node.yaw_index
+        )
         node_g = self.g[node]
         x, y, side = node.x_index, node.y_index, node.side.opposite
         closed, g, h_memo, frontier = self.closed, self.g, self.h_memo, self.frontier
@@ -511,7 +391,7 @@ def plan(request: PlannerRequest) -> PlannerResult:
             return finish(PlanStatus.INVALID_START, None)
     start_feet = [search.snap(node) for node in start_nodes]
     goal_points = [(p.x, p.y) for p in search.goal_feet.values()]
-    stats.no_path_reason = _no_region_chain(request, start_feet, goal_points)
+    stats.no_path_reason = no_region_chain(request, start_feet, goal_points)
     if stats.no_path_reason is not None:
         log.info("no path: %s", stats.no_path_reason)
         return finish(PlanStatus.NO_PATH_EXISTS, None)

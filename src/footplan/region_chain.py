@@ -1,0 +1,129 @@
+"""The region-chain check run before the search: an early NO_PATH_EXISTS when
+no chain of regions can link a start foot to the goal."""
+
+from __future__ import annotations
+
+import math
+from typing import TYPE_CHECKING, NamedTuple
+
+from .constants import BOUNDARY_SLACK, REACH_SLACK
+from .geometry import Point2, convex_sets_distance, point_to_convex_distance
+from .snapping import SnapResult
+
+if TYPE_CHECKING:
+    from .planner import PlannerRequest
+
+
+class _Site(NamedTuple):
+    """A start foot or a standable region as the check sees it: its plan-view
+    hull and box, the lowest and highest z of a foothold on it, and how far a
+    foothold center may lie outside the hull."""
+
+    hull: tuple[Point2, ...]
+    box: tuple[float, float, float, float]
+    z_lo: float
+    z_hi: float
+    grow: float
+
+
+def no_region_chain(
+    request: PlannerRequest, start_feet: list[SnapResult], goal_points: list[Point2]
+) -> str | None:
+    """Why no path can exist, or None when a chain of regions may link a start
+    foot to the goal.
+
+    Every foothold the search accepts lies near its region's plan-view hull:
+    - With a centrally symmetric sole and min_area_fraction - BOUNDARY_SLACK
+      above 1/2, its center is inside the hull, up to rounding (`grow` =
+      REACH_SLACK). Suppose the center lies outside a half-plane that holds
+      the hull. Reflecting the sole through its center maps the part inside
+      that half-plane to a part outside it, so at most half the sole is
+      supported and the foothold fails `check_area`.
+    - Otherwise the snapped sole overlaps the region, so its center is within
+      the foot's circumradius of the hull (`grow`).
+    A foothold's z is its region's plane height at the center, so it lies
+    within grow x the plane's slope of the region's [z_min, z_max].
+    Every accepted edge also passes `check_step_geometry`'s max_reach and
+    step height limits. So a path is a chain from a start foot (a snapped
+    lattice point, never area-checked) through regions whose hulls lie within
+    max_reach + BOUNDARY_SLACK + 2 grow of each other (one grow from a start
+    foot), each region's height range within max_step_up above or
+    max_step_down below the one before, ending on a site within
+    goal_tolerance + grow of a goal foot. The height limits make the links
+    directed. Walls cannot be stood on and are left out.
+    """
+    foot, checker = request.foot, request.checker
+    if foot.centrally_symmetric and checker.min_area_fraction - BOUNDARY_SLACK > 0.5:
+        grow = REACH_SLACK
+    else:
+        grow = foot.circumradius
+    goal_bound = request.goal_tolerance + grow
+    step = checker.max_reach + BOUNDARY_SLACK + grow
+
+    def region_site(region) -> _Site:
+        a, b, _ = region.plane_coeffs
+        margin = grow * math.hypot(a, b) + REACH_SLACK
+        return _Site(
+            region.hull_xy, region.bounds_xy, region.z_min - margin, region.z_max + margin, grow
+        )
+
+    def bound(item: _Site) -> float:
+        return step + item.grow
+
+    def gap(item: _Site, site: _Site, cutoff: float = math.inf) -> float:
+        """Distance between two sites' hulls, or a lower bound on it above
+        `cutoff`."""
+        a, b = item.box, site.box
+        lower = math.hypot(max(a[0] - b[2], b[0] - a[2], 0.0), max(a[1] - b[3], b[1] - a[3], 0.0))
+        if lower > cutoff:
+            return lower
+        return convex_sets_distance(item.hull, site.hull)
+
+    def climb(item: _Site, site: _Site) -> tuple[float, float, str]:
+        """The least rise or drop a step from `item` onto `site` takes beyond
+        its limit, that limit and the limit's name; the excess is at most 0
+        when the step height allows the step."""
+        rise = site.z_lo - item.z_hi
+        drop = item.z_lo - site.z_hi
+        if rise - checker.max_step_up > drop - checker.max_step_down:
+            return rise - checker.max_step_up, checker.max_step_up, "rise"
+        return drop - checker.max_step_down, checker.max_step_down, "drop"
+
+    def linked(item: _Site, site: _Site) -> bool:
+        limit = bound(item)
+        return gap(item, site, limit) <= limit and climb(item, site)[0] <= BOUNDARY_SLACK
+
+    def at_goal(item: _Site) -> bool:
+        return any(point_to_convex_distance(g, item.hull) <= goal_bound for g in goal_points)
+
+    starts = [_Site(((s.x, s.y),), (s.x, s.y, s.x, s.y), s.z, s.z, 0.0) for s in start_feet]
+    unreached = [region_site(region) for region in request.env.regions if region.snappable]
+    reached = list(starts)
+    stack = list(starts)
+    while stack:
+        item = stack.pop()
+        if at_goal(item):
+            return None
+        links, rest = [], []
+        for site in unreached:
+            (links if linked(item, site) else rest).append(site)
+        unreached = rest
+        reached += links
+        stack += links
+
+    if not any(at_goal(site) for site in unreached):
+        return f"no standable region within {goal_bound:.2f} m of a goal foot"
+    pairs = [(item, site) for item in reached for site in unreached]
+    nearest, limit = min(
+        ((gap(item, site), bound(item)) for item, site in pairs),
+        key=lambda pair: pair[0] - pair[1],
+    )
+    if nearest > limit:
+        return f"no region chain within reach: nearest gap {nearest:.2f} m > bound {limit:.2f} m"
+    excess, height_limit, kind = min(
+        climb(item, site) for item, site in pairs if gap(item, site) <= bound(item)
+    )
+    return (
+        f"no region chain within step height: least {kind} {excess + height_limit:.2f} m"
+        f" > limit {height_limit:.2f} m"
+    )

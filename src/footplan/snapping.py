@@ -117,10 +117,6 @@ class SnapResult:
         except GeometryError:
             return None
 
-    def to_world(self, points) -> tuple[Point2, ...]:
-        """Foot-frame points placed in world xy, as the sole is."""
-        return _to_world(self.rotation, self.x, self.y, points)
-
 
 class SnapFailureReason(enum.Enum):
     NO_REGION_UNDER_FOOT = "no_region_under_foot"
@@ -167,13 +163,6 @@ def align_to_normal(yaw: float, up_normal) -> tuple[Rotation3, float, float]:
     )
 
 
-def _to_world(rows, x: float, y: float, points) -> tuple[Point2, ...]:
-    """(x + l00 u + l01 v, y + l10 u + l11 v): points (u, v) of the foot frame
-    in world xy, with l the plan-view block of the rotation `rows`."""
-    (l00, l01, _), (l10, l11, _), _ = rows
-    return tuple((x + l00 * u + l01 * v, y + l10 * u + l11 * v) for u, v in points)
-
-
 def crop_foothold(
     region: PlanarRegion, x: float, y: float, yaw: float, foot: FootPolygon
 ) -> SnapResult:
@@ -187,8 +176,8 @@ def crop_foothold(
     """
     z = plane_height_at(region, x, y)
     rotation, roll, pitch = align_to_normal(yaw, region.up_normal)
-    sole = _to_world(rotation, x, y, foot.sole.vertices)
     (l00, l01, _), (l10, l11, _), _ = rotation
+    sole = tuple((x + l00 * u + l01 * v, y + l10 * u + l11 * v) for u, v in foot.sole.vertices)
     det = l00 * l11 - l01 * l10
 
     crop = None

@@ -111,7 +111,7 @@ def render_svg(env, steps=(), start: Pose2 | None = None, goal: Pose2 | None = N
             f'stroke="{fill}" stroke-width="1"/>'
         )
         if snap.cropped_foothold is not None:
-            crop_px = [canvas.to_px(x, y) for x, y in snap.to_world(snap.cropped_foothold.vertices)]
+            crop_px = [canvas.to_px(x, y) for x, y in snap.crop]
             parts.append(
                 f'<polygon points="{_points(crop_px)}" fill="{_CROP_FILL}" '
                 f'fill-opacity="0.45" stroke="none"/>'

@@ -66,8 +66,8 @@ def _inset_qps(
     a^T x <= b becomes a^T J_i q <= b - d - a^T x_i. Only the right-hand side
     depends on d, so the rows are assembled once.
     """
-    planes = polygon_half_planes(region_piece)
-    normals = np.array(planes.normals)
+    normals, offsets = polygon_half_planes(region_piece)
+    normals = np.array(normals)
     cx, cy = foothold.centroid()
 
     rows = []
@@ -79,7 +79,7 @@ def _inset_qps(
         a_dot_x.append(normals @ (vx, vy))
     rows = np.vstack(rows)
     a_dot_x = np.concatenate(a_dot_x)
-    offsets = np.tile(planes.offsets, len(foothold.vertices))
+    offsets = np.tile(offsets, len(foothold.vertices))
     weights = np.diag(params.weights)
     bound = np.array([params.max_translation, params.max_translation, params.max_rotation])
     return lambda d: WiggleQP(weights, rows, offsets - d - a_dot_x, -bound, bound)

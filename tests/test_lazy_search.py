@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from footplan.costing import (
     CostParams,
+    cell_cost_bounds,
     edge_cost,
-    edge_cost_bounds,
     heuristic_cost,
     position_heuristic,
 )
@@ -37,12 +37,12 @@ from footplan.planner import (
     PlanStatus,
     PlanStep,
     SearchStats,
-    _no_region_chain,
     _Search,
     _within_goal,
     feet_from_midstance,
     plan,
 )
+from footplan.region_chain import no_region_chain
 from footplan.snapping import SnapFailure, SnapResult, default_foot, snap_pose
 from footplan.toolkit import cli, scenario
 from footplan.toolkit.generators import generate_environment
@@ -116,7 +116,7 @@ def eager_plan(request: PlannerRequest) -> PlannerResult:
     if any(isinstance(snap(node), SnapFailure) for node in start_nodes):
         return finish(PlanStatus.INVALID_START, None)
     goal_points = [(p.x, p.y) for p in goal_feet.values()]
-    stats.no_path_reason = _no_region_chain(
+    stats.no_path_reason = no_region_chain(
         request, [snap(node) for node in start_nodes], goal_points
     )
     if stats.no_path_reason is not None:
@@ -299,6 +299,15 @@ def test_lazy_search_matches_the_eager_search_on_the_bench_corpora(
 # The lower bound on a step's cost
 
 
+def edge_bounds(lattice, expansion, cost, side, yaw_index) -> list[float]:
+    """`cell_cost_bounds`' lower bound on each step's cost, flattened from its
+    rows back into `expand_node`'s order."""
+    rows, count = cell_cost_bounds(lattice, expansion, cost, side, yaw_index)
+    bounds = [bound for *_, members in rows for _, bound in members]
+    assert len(bounds) == count
+    return bounds
+
+
 @st.composite
 def lattices_and_boxes(draw):
     """A lattice and an action box, each drawn over a wide range."""
@@ -366,7 +375,7 @@ def test_edge_cost_bounds_never_exceed_the_edge_cost(draw_args):
     if not isinstance(parent_snap, SnapResult):
         return
     children = expand_node(node, lattice, expansion)
-    bounds = edge_cost_bounds(lattice, expansion, cost, node.side, node.yaw_index)
+    bounds = edge_bounds(lattice, expansion, cost, node.side, node.yaw_index)
     assert len(bounds) == len(children)
     for child, bound in zip(children, bounds):
         child_snap = snap_pose(node_to_pose(child, lattice), env, foot)
@@ -383,7 +392,7 @@ def test_edge_cost_bounds_are_tight_on_flat_ground():
         node = FootstepNode(3, -2, 7, side)
         parent_snap = snap_pose(node_to_pose(node, lattice), env, default_foot())
         children = expand_node(node, lattice, expansion)
-        bounds = edge_cost_bounds(lattice, expansion, cost, side, node.yaw_index)
+        bounds = edge_bounds(lattice, expansion, cost, side, node.yaw_index)
         for child, bound in zip(children, bounds):
             child_snap = snap_pose(node_to_pose(child, lattice), env, default_foot())
             assert edge_cost(parent_snap, child_snap, side, cost) - bound == pytest.approx(
@@ -449,7 +458,7 @@ def test_a_cell_key_never_exceeds_the_key_of_an_edge_in_it(draw_args):
     def h(child):
         return heuristic_cost(node_to_pose(child, lattice), goal, search.start_mid, cost)
 
-    bounds = edge_cost_bounds(lattice, request.expansion, cost, node.side, node.yaw_index)
+    bounds = edge_bounds(lattice, request.expansion, cost, node.side, node.yaw_index)
     children = expand_node(node, lattice, request.expansion)
     edges = {}  # seq -> child, over the edges pushed at once and those in cells
     for f, h_slot, seq, first, via in search.frontier:

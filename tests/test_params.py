@@ -147,6 +147,15 @@ def test_inset_must_stay_below_the_lattice_resolution():
         ParamsBundle(lattice=LatticeParams(xy_resolution=0.02))
 
 
+def test_goal_tolerances_must_be_positive():
+    for key in ("goal_tolerance", "goal_tolerance_yaw"):
+        for value in (0, -0.1):
+            with pytest.raises(ParamsError, match="must be positive"):
+                load_params({key: value})
+        with pytest.raises(ParamsError, match="must be positive"):
+            ParamsBundle(**{key: math.nan})
+
+
 def test_foot_sole_must_surround_the_ankle():
     with pytest.raises(ParamsError):
         load_params({"foot_sole": [[0.3, 0.1], [0.1, 0.1], [0.1, -0.1], [0.3, -0.1]]})

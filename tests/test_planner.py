@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from footplan import planner
 from footplan.costing import CostParams, edge_cost
-from footplan.geometry import Pose2, RigidTransform3, rectangle_polygon, wrap_angle
+from footplan.geometry import (
+    Pose2,
+    RigidTransform3,
+    point_to_convex_distance,
+    rectangle_polygon,
+    wrap_angle,
+)
 from footplan.lattice import ExpansionParams, LatticeParams, Side, node_to_pose, pose_to_node
 from footplan.params import ParamsBundle
 from footplan.planner import PlannerRequest, PlanStatus, feet_from_midstance, plan
@@ -146,6 +152,37 @@ def test_platform_above_step_height_is_ruled_out_before_the_search():
     assert result.stats.no_path_reason == (
         "no region chain within step height: least rise 0.50 m > limit 0.35 m"
     )
+
+
+def test_platform_below_step_height_is_ruled_out_before_the_search():
+    result = plan(make_request(platform_step_world(-0.5), 0.0, Pose2(1.1, 0.0, 0.0)))
+    assert result.status is PlanStatus.NO_PATH_EXISTS
+    assert result.stats.nodes_expanded == 0
+    assert result.stats.no_path_reason == (
+        "no region chain within step height: least drop 0.50 m > limit 0.35 m"
+    )
+
+
+def test_region_check_passes_a_start_foot_already_within_the_goal_bound():
+    # With 30% support a foothold center may lie a circumradius (0.123 m)
+    # outside its region, so the goal bound is 0.2 + 0.123 m. The start feet
+    # stand 0.05 m past the platform's edge and 0.3 m short of the goal feet:
+    # inside the bound, while the platform itself lies 0.35 m from them.
+    env = Environment([flat_region(0, 1.0, 1.0)])
+    request = make_request(
+        env, 0.55, Pose2(0.85, 0.0, 0.0), checker=CheckerParams(min_area_fraction=0.3)
+    )
+    starts = [
+        snap_pose(node_to_pose(pose_to_node(pose, side, request.lattice), request.lattice), env,
+                  request.foot)
+        for pose, side in ((request.start_left, Side.LEFT), (request.start_right, Side.RIGHT))
+    ]
+    goals = [(p.x, p.y) for p in feet_from_midstance(request.goal_midstance, 0.25)]
+    bound = request.goal_tolerance + request.foot.circumradius
+    assert all(isinstance(start, SnapResult) for start in starts)
+    assert min(math.hypot(s.x - gx, s.y - gy) for s in starts for gx, gy in goals) <= bound
+    assert min(point_to_convex_distance(g, env.regions[0].hull_xy) for g in goals) > bound
+    assert planner.no_region_chain(request, starts, goals) is None
 
 
 def test_platform_within_step_height_is_searched_and_reached():
@@ -372,8 +409,8 @@ def test_region_check_rules_out_only_requests_the_search_cannot_solve(request):
         for pose, side in ((request.start_left, Side.LEFT), (request.start_right, Side.RIGHT))
     ]
     goals = feet_from_midstance(request.goal_midstance, request.cost.nominal_stance_width)
-    if planner._no_region_chain(request, starts, [(p.x, p.y) for p in goals]) is None:
+    if planner.no_region_chain(request, starts, [(p.x, p.y) for p in goals]) is None:
         return
-    with mock.patch.object(planner, "_no_region_chain", return_value=None):
+    with mock.patch.object(planner, "no_region_chain", return_value=None):
         eager = plan(request)
     assert eager.status is PlanStatus.NO_PATH_EXISTS

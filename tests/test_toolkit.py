@@ -618,6 +618,30 @@ def test_cli_input_errors_exit_4(tmp_path, stable_env, capsys):
     assert "banana" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tolerance", [{"goal_tolerance": 0}, {"goal_tolerance_yaw": -0.1}])
+def test_a_goal_tolerance_of_0_or_less_exits_4(tolerance, tmp_path, stable_env, capsys):
+    # plan reads params from a file, bench from a suite entry, anytime from
+    # the scenario document; each used to end in the request's ValueError
+    env_path = write_flat_env(tmp_path)
+    params_path = write_params(tmp_path, **tolerance)
+    suite_path = tmp_path / "suite.json"
+    entry = suite_doc()["entries"][0]
+    suite_path.write_text(json.dumps({"entries": [dict(entry, params=dict(entry["params"], **tolerance))]}))
+    scenario = scenario_doc(Environment([flat_region(0, 1.0, 1.0)]), 0.0, (0.5, 0.0, 0.0))
+    scenario["params"].update(tolerance)
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario))
+    for argv in (
+        ["plan", "--env", str(env_path), "--start", "0,0,0", "--goal", "1,0,0",
+         "--params", str(params_path)],
+        ["bench", "--suite", str(suite_path), "--out", str(tmp_path / "x.csv")],
+        ["anytime", "--scenario", str(scenario_path), "--out", str(tmp_path / "x.json")],
+    ):
+        assert cli_main(argv) == 4, argv
+        err = capsys.readouterr().err
+        assert "error:" in err and "must be positive" in err, argv
+
+
 def test_scenario_environment_and_params_must_be_json_objects(tmp_path, stable_env, capsys):
     # a string there would load as JSON text, though in a suite it names a file
     good = scenario_doc(Environment([flat_region(0, 1.0, 1.0)]), 0.0, (0.5, 0.0, 0.0))
