@@ -5,92 +5,4 @@ poses onto them, validate step-to-step transitions, search with weighted A*,
 then nudge each foothold away from region borders with a tiny QP.
 """
 
-from .costing import CostParams, edge_cost, heuristic_cost, reference_yaw
-from .geometry import ConvexPolygon2, GeometryError, Pose2, RigidTransform3, wrap_angle
-from .lattice import ExpansionParams, FootstepNode, LatticeParams, Side, expand_node, node_to_pose, pose_to_node
-from .params import ParamsBundle, ParamsError, load_params, params_to_dict, params_to_json
-from .planner import (
-    PlannerRequest,
-    PlannerResult,
-    PlanStatus,
-    PlanStep,
-    SearchStats,
-    plan,
-)
-from .snapping import (
-    FootPolygon,
-    SnapFailure,
-    SnapFailureReason,
-    SnapResult,
-    default_foot,
-    snap_node,
-    snap_pose,
-)
-from .validity import CheckerParams, RejectionReason, midstance_pose, validate_edge
-from .wiggle import WiggleOutcome, WiggleParams, wiggle_plan, wiggle_step
-from .world import (
-    Environment,
-    PlanarRegion,
-    WorldLoadError,
-    environment_to_dict,
-    environment_to_json,
-    load_environment,
-    plane_height_at,
-    regions_overlapping_disc,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CheckerParams",
-    "ConvexPolygon2",
-    "CostParams",
-    "Environment",
-    "ExpansionParams",
-    "FootPolygon",
-    "FootstepNode",
-    "GeometryError",
-    "LatticeParams",
-    "ParamsBundle",
-    "ParamsError",
-    "PlanStatus",
-    "PlanStep",
-    "PlanarRegion",
-    "PlannerRequest",
-    "PlannerResult",
-    "Pose2",
-    "RejectionReason",
-    "RigidTransform3",
-    "SearchStats",
-    "Side",
-    "SnapFailure",
-    "SnapFailureReason",
-    "SnapResult",
-    "WiggleOutcome",
-    "WiggleParams",
-    "WorldLoadError",
-    "default_foot",
-    "edge_cost",
-    "environment_to_dict",
-    "environment_to_json",
-    "expand_node",
-    "heuristic_cost",
-    "load_environment",
-    "load_params",
-    "midstance_pose",
-    "node_to_pose",
-    "params_to_dict",
-    "params_to_json",
-    "plan",
-    "plane_height_at",
-    "pose_to_node",
-    "reference_yaw",
-    "regions_overlapping_disc",
-    "snap_node",
-    "snap_pose",
-    "validate_edge",
-    "wiggle_plan",
-    "wiggle_step",
-    "wrap_angle",
-    "__version__",
-]

@@ -35,15 +35,15 @@ class CostParams:
 
     def __post_init__(self):
         for name in ("w_distance", "w_height", "w_yaw", "w_area", "w_roll_pitch", "cost_per_step"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN too
                 raise ValueError(f"{name} must be non-negative")
-        if self.inflation < 1.0:
+        if not self.inflation >= 1.0:
             raise ValueError("inflation must be at least 1")
-        if self.final_turn_radius <= 0:
+        if not self.final_turn_radius > 0:
             raise ValueError("final_turn_radius must be positive")
-        if self.max_step_length_for_heuristic <= 0:
+        if not self.max_step_length_for_heuristic > 0:
             raise ValueError("max_step_length_for_heuristic must be positive")
-        if self.nominal_stance_width <= 0:
+        if not self.nominal_stance_width > 0:
             raise ValueError("nominal_stance_width must be positive")
 
 

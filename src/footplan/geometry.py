@@ -359,23 +359,18 @@ def convex_sets_distance(verts_a, verts_b) -> float:
 
 
 def point_to_convex_distance(point, verts) -> float:
-    """Distance from a point to a convex vertex set (0 inside)."""
-    if len(verts) >= 3:
-        area = abs(_signed_area(verts))
-        if area > MIN_POLYGON_AREA:
-            inside = True
-            ccw = _signed_area(verts) > 0
-            n = len(verts)
-            for i in range(n):
-                a = verts[i]
-                b = verts[(i + 1) % n]
-                o = _orient(a, b, point)
-                if (o < 0) if ccw else (o > 0):
-                    inside = False
-                    break
-            if inside:
-                return 0.0
+    """Distance from a point to a convex vertex set (0 inside).
+
+    A set of three or more vertices is counter-clockwise, as every caller's
+    is (`ConvexPolygon2`, `PlanarRegion`'s pieces, `convex_hull`).
+    """
     n = len(verts)
+    if n >= 3 and _signed_area(verts) > MIN_POLYGON_AREA:
+        for i in range(n):
+            if _orient(verts[i], verts[(i + 1) % n], point) < 0:
+                break
+        else:
+            return 0.0
     if n == 1:
         return math.hypot(point[0] - verts[0][0], point[1] - verts[0][1])
     best = math.inf

@@ -49,7 +49,7 @@ class LatticeParams:
     yaw_resolution: float = math.tau / 36.0
 
     def __post_init__(self):
-        if self.xy_resolution <= 0 or self.yaw_resolution <= 0:
+        if not (self.xy_resolution > 0 and self.yaw_resolution > 0):  # NaN too
             raise ValueError("lattice resolutions must be positive")
         count = math.tau / self.yaw_resolution
         if math.isinf(count) or abs(count - round(count)) > YAW_DIVISION_TOL:
@@ -78,13 +78,13 @@ class ExpansionParams:
     max_reach: float = 0.55
 
     def __post_init__(self):
-        if self.min_length > self.max_length:
+        if not self.min_length <= self.max_length:
             raise ValueError("min_length must not exceed max_length")
-        if self.min_width > self.max_width:
+        if not self.min_width <= self.max_width:
             raise ValueError("min_width must not exceed max_width")
-        if self.min_yaw_delta > self.max_yaw_delta:
+        if not self.min_yaw_delta <= self.max_yaw_delta:
             raise ValueError("min_yaw_delta must not exceed max_yaw_delta")
-        if self.max_reach <= 0:
+        if not self.max_reach > 0:
             raise ValueError("max_reach must be positive")
 
 

@@ -105,7 +105,7 @@ class PlannerRequest:
     def __post_init__(self):
         if not self.timeout > 0:  # NaN too
             raise ValueError("timeout must be positive")
-        if self.goal_tolerance <= 0 or self.goal_tolerance_yaw <= 0:
+        if not (self.goal_tolerance > 0 and self.goal_tolerance_yaw > 0):
             raise ValueError("goal tolerances must be positive")
 
 

@@ -25,8 +25,8 @@ def decoded(document, error: type[InputError]):
         raise error(f"invalid JSON: {exc}") from None
 
 
-def number(value, what: str, error: type[InputError]) -> float:
-    """A finite JSON number as a float."""
+def number(value, what: str, error: type[InputError], positive: bool = False) -> float:
+    """A finite JSON number as a float, above zero when `positive`."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise error(f"{what} must be a number, got {value!r}")
     try:
@@ -35,6 +35,8 @@ def number(value, what: str, error: type[InputError]) -> float:
         raise error(f"{what} must be a number, got {value!r}") from None
     if not math.isfinite(result):
         raise error(f"{what} must be finite, got {value!r}")
+    if positive and not result > 0:
+        raise error(f"{what} must be above zero, got {result!r}")
     return result
 
 

@@ -129,7 +129,14 @@ class SnapFailure:
 
 
 @lru_cache(maxsize=4096)
-def _align_cached(yaw: float, nx: float, ny: float, nz: float):
+def align_to_normal(
+    yaw: float, up_normal: tuple[float, float, float]
+) -> tuple[Rotation3, float, float]:
+    """Rotation Rz(yaw)*Ry(pitch)*Rx(roll) whose z-axis equals up_normal.
+
+    Results are cached per (yaw, normal).
+    """
+    nx, ny, nz = up_normal
     cos_y, sin_y = math.cos(yaw), math.sin(yaw)
     mx = cos_y * nx + sin_y * ny
     my = -sin_y * nx + cos_y * ny
@@ -151,16 +158,6 @@ def _align_cached(yaw: float, nx: float, ny: float, nz: float):
         for a, b, c in rotation_z(yaw)
     )
     return rotation, roll, pitch
-
-
-def align_to_normal(yaw: float, up_normal) -> tuple[Rotation3, float, float]:
-    """Rotation Rz(yaw)*Ry(pitch)*Rx(roll) whose z-axis equals up_normal.
-
-    Results are cached per (yaw, normal).
-    """
-    return _align_cached(
-        yaw, float(up_normal[0]), float(up_normal[1]), float(up_normal[2])
-    )
 
 
 def crop_foothold(

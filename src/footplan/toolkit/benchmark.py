@@ -48,13 +48,6 @@ def _pose_of(doc, key: str, label: str) -> Pose2:
     return Pose2(*numbers(doc.get(key), 3, f"{label}: field {key!r}", BenchmarkError))
 
 
-def _timeout_of(entry: dict, label: str) -> float:
-    timeout = number(entry.get("timeout", 10.0), f"{label}: timeout", BenchmarkError)
-    if not timeout > 0:
-        raise BenchmarkError(f"{label}: timeout must be above zero, got {timeout!r}")
-    return timeout
-
-
 def load_benchmark_suite(document, base_dir: str | os.PathLike = ".") -> BenchmarkSuite:
     """Parse a benchmark suite; environment/params may be inline or file paths."""
     document = decoded(document, BenchmarkError)
@@ -95,7 +88,9 @@ def load_benchmark_suite(document, base_dir: str | os.PathLike = ".") -> Benchma
                 start_left=_pose_of(entry, "start_left", label),
                 start_right=_pose_of(entry, "start_right", label),
                 goal=_pose_of(entry, "goal", label),
-                timeout=_timeout_of(entry, label),
+                timeout=number(
+                    entry.get("timeout", 10.0), f"{label}: timeout", BenchmarkError, positive=True
+                ),
                 params=params,
             )
         )

@@ -105,20 +105,16 @@ def load_scenario_script(document) -> ScenarioScript:
         params = load_params(_object_of(document, "params"))
     except ParamsError as exc:
         raise ScenarioError(f"params: {exc}") from None
-    timeout = number(document.get("timeout", 1.0), "timeout", ScenarioError)
-    if not timeout > 0:
-        raise ScenarioError(f"timeout must be above zero, got {timeout!r}")
-    replan_period = number(document.get("replan_period", 1.0), "replan_period", ScenarioError)
-    if not replan_period > 0:
-        raise ScenarioError(f"replan_period must be above zero, got {replan_period!r}")
     return ScenarioScript(
         environment=environment,
         start_left=start_left,
         start_right=start_right,
         goal=goal,
         events=tuple(events),
-        replan_period=replan_period,
-        timeout=timeout,
+        timeout=number(document.get("timeout", 1.0), "timeout", ScenarioError, positive=True),
+        replan_period=number(
+            document.get("replan_period", 1.0), "replan_period", ScenarioError, positive=True
+        ),
         max_ticks=integer(
             document.get("max_ticks", 120), "max_ticks", ScenarioError, positive=True
         ),

@@ -90,9 +90,9 @@ class CheckerParams:
             "body_box_width",
             "body_box_depth",
         ):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN too
                 raise ValueError(f"{name} must be positive")
-        if self.body_box_top <= self.body_box_bottom:
+        if not self.body_box_top > self.body_box_bottom:
             raise ValueError("body_box_top must exceed body_box_bottom")
 
 
@@ -209,6 +209,34 @@ def _prism_hits_piece(corners, z_lo, z_hi, face_axes, edge_dirs, solid, normal) 
     return True
 
 
+def _regions_in_slab(env: Environment, z_lo: float, z_hi: float) -> list:
+    """The regions whose z range meets [z_lo, z_hi], widened by BOUNDARY_SLACK."""
+    return [
+        region
+        for region in env.regions
+        if not (region.z_min > z_hi + BOUNDARY_SLACK or region.z_max < z_lo - BOUNDARY_SLACK)
+    ]
+
+
+def _prism_hits_regions(regions, corners, z_lo, z_hi, face_axes, edge_dirs) -> bool:
+    """Whether the prism `corners` x [z_lo, z_hi] touches a piece of any of
+    `regions`; a region whose plan-view box misses the prism's is skipped."""
+    x_lo = min(c[0] for c in corners)
+    y_lo = min(c[1] for c in corners)
+    x_hi = max(c[0] for c in corners)
+    y_hi = max(c[1] for c in corners)
+    for region in regions:
+        rx0, ry0, rx1, ry1 = region.bounds_xy
+        if rx1 < x_lo or rx0 > x_hi or ry1 < y_lo or ry0 > y_hi:
+            continue
+        for solid in region.piece_solids:
+            if _prism_hits_piece(
+                corners, z_lo, z_hi, face_axes, edge_dirs, solid, region.up_normal
+            ):
+                return True
+    return False
+
+
 def check_step_over(
     parent_snap: SnapResult,
     child_snap: SnapResult,
@@ -218,6 +246,9 @@ def check_step_over(
 ) -> RejectionReason | None:
     """Swept-leg proxy: a horizontal rectangle between the feet must be clear."""
     z = max(parent_snap.z, child_snap.z) + params.step_over_height
+    near = _regions_in_slab(env, z, z)
+    if not near:
+        return None
     ax, ay = parent_snap.x, parent_snap.y
     bx, by = child_snap.x, child_snap.y
     length = math.hypot(bx - ax, by - ay)
@@ -234,28 +265,11 @@ def check_step_over(
         (bx - perp[0] * half, by - perp[1] * half),
         (bx + perp[0] * half, by + perp[1] * half),
     ]
-    x_lo = min(c[0] for c in corners)
-    y_lo = min(c[1] for c in corners)
-    x_hi = max(c[0] for c in corners)
-    y_hi = max(c[1] for c in corners)
-    rect_faces = None
-    for region in env.regions:
-        if region.z_min > z + BOUNDARY_SLACK or region.z_max < z - BOUNDARY_SLACK:
-            continue
-        rx0, ry0, rx1, ry1 = region.bounds_xy
-        if rx1 < x_lo or rx0 > x_hi or ry1 < y_lo or ry0 > y_hi:
-            continue
-        if rect_faces is None:
-            rect_edges = ((direction[0], direction[1], 0.0), (perp[0], perp[1], 0.0))
-            # the rectangle's up normal and its two rims, edge x up
-            rect_faces = (
-                (0.0, 0.0, 1.0),
-                (direction[1], -direction[0], 0.0),
-                (perp[1], -perp[0], 0.0),
-            )
-        for solid in region.piece_solids:
-            if _prism_hits_piece(corners, z, z, rect_faces, rect_edges, solid, region.up_normal):
-                return RejectionReason.STEP_OVER_OBSTACLE
+    rect_edges = ((direction[0], direction[1], 0.0), (perp[0], perp[1], 0.0))
+    # the rectangle's up normal and its two rims, edge x up
+    rect_faces = ((0.0, 0.0, 1.0), (direction[1], -direction[0], 0.0), (perp[1], -perp[0], 0.0))
+    if _prism_hits_regions(near, corners, z, z, rect_faces, rect_edges):
+        return RejectionReason.STEP_OVER_OBSTACLE
     return None
 
 
@@ -276,11 +290,7 @@ def check_body_box(
     mid_z = (parent_snap.z + child_snap.z) / 2.0
     z_lo = mid_z + params.body_box_bottom
     z_hi = mid_z + params.body_box_top
-    near = [
-        region
-        for region in env.regions
-        if not (region.z_min > z_hi + BOUNDARY_SLACK or region.z_max < z_lo - BOUNDARY_SLACK)
-    ]
+    near = _regions_in_slab(env, z_lo, z_hi)
     if not near:
         return None
     mid = midstance_pose(parent_snap.planar_pose, child_snap.planar_pose)
@@ -292,20 +302,9 @@ def check_body_box(
          mid.y + sin_y * sx * half_d + cos_y * sy * half_w)
         for sx, sy in ((1, 1), (1, -1), (-1, -1), (-1, 1))
     ]
-    x_lo = min(c[0] for c in corners_2d)
-    y_lo = min(c[1] for c in corners_2d)
-    x_hi = max(c[0] for c in corners_2d)
-    y_hi = max(c[1] for c in corners_2d)
     box_axes = ((cos_y, sin_y, 0.0), (-sin_y, cos_y, 0.0), (0.0, 0.0, 1.0))
-    for region in near:
-        rx0, ry0, rx1, ry1 = region.bounds_xy
-        if rx1 < x_lo or rx0 > x_hi or ry1 < y_lo or ry0 > y_hi:
-            continue
-        for solid in region.piece_solids:
-            if _prism_hits_piece(
-                corners_2d, z_lo, z_hi, box_axes, box_axes, solid, region.up_normal
-            ):
-                return RejectionReason.BODY_BOX_COLLISION
+    if _prism_hits_regions(near, corners_2d, z_lo, z_hi, box_axes, box_axes):
+        return RejectionReason.BODY_BOX_COLLISION
     return None
 
 

@@ -34,9 +34,9 @@ class WiggleParams:
     weights: tuple[float, float, float] = (1.0, 1.0, 0.05)
 
     def __post_init__(self):
-        if self.inset_distance < 0:
+        if not self.inset_distance >= 0:  # NaN too
             raise ValueError("inset_distance must be non-negative")
-        if self.max_translation <= 0 or self.max_rotation <= 0:
+        if not (self.max_translation > 0 and self.max_rotation > 0):
             raise ValueError("shift bounds must be positive")
         try:
             weights = tuple(float(w) for w in self.weights)

@@ -9,10 +9,13 @@ from dataclasses import fields
 import pytest
 
 from footplan.costing import CostParams
+from footplan.geometry import Pose2
 from footplan.lattice import ExpansionParams, LatticeParams, Side
 from footplan.params import ParamsBundle, ParamsError, load_params, params_to_dict, params_to_json
+from footplan.planner import PlannerRequest
 from footplan.validity import CheckerParams
 from footplan.wiggle import WiggleParams
+from footplan.world import Environment
 
 
 def test_empty_document_gives_defaults():
@@ -154,6 +157,39 @@ def test_goal_tolerances_must_be_positive():
                 load_params({key: value})
         with pytest.raises(ParamsError, match="must be positive"):
             ParamsBundle(**{key: math.nan})
+
+
+def still_request(**kwargs) -> PlannerRequest:
+    return PlannerRequest(
+        env=Environment([]),
+        start_left=Pose2(0.0, 0.1, 0.0),
+        start_right=Pose2(0.0, -0.1, 0.0),
+        goal_midstance=Pose2(0.0, 0.0, 0.0),
+        **kwargs,
+    )
+
+
+@pytest.mark.parametrize(
+    "make, name, message",
+    [
+        (LatticeParams, "xy_resolution", "lattice resolutions must be positive"),
+        (ExpansionParams, "max_reach", "max_reach must be positive"),
+        (ExpansionParams, "min_length", "min_length must not exceed max_length"),
+        (CheckerParams, "max_reach", "max_reach must be positive"),
+        (CheckerParams, "body_box_top", "body_box_top must exceed body_box_bottom"),
+        (CostParams, "inflation", "inflation must be at least 1"),
+        (CostParams, "w_distance", "w_distance must be non-negative"),
+        (CostParams, "final_turn_radius", "final_turn_radius must be positive"),
+        (WiggleParams, "inset_distance", "inset_distance must be non-negative"),
+        (WiggleParams, "max_translation", "shift bounds must be positive"),
+        (still_request, "goal_tolerance", "goal tolerances must be positive"),
+        (still_request, "goal_tolerance_yaw", "goal tolerances must be positive"),
+    ],
+)
+def test_library_params_refuse_nan(make, name, message):
+    # a file cannot carry NaN (the reader refuses it), but a library caller can
+    with pytest.raises(ValueError, match=message):
+        make(**{name: math.nan})
 
 
 def test_foot_sole_must_surround_the_ankle():

@@ -572,6 +572,13 @@ def test_cli_input_errors_exit_4(tmp_path, stable_env, capsys):
         path.write_text(json.dumps(dict(good_scenario, **overrides)))
         argv = ["anytime", "--scenario", str(path), "--out", str(tmp_path / "x.json")]
         bad_numbers.append((argv, message))
+    bad_numbers += [
+        (plan + ["--start", "0,0,0", "--goal", "1,0,0", "--timeout", "abc"],
+         "invalid float value: 'abc'"),
+        (plan + ["--start", "a,b,c", "--goal", "1,0,0"], "--start must contain three numbers"),
+        (plan + ["--start", "0,0,0", "--goal", "1,0,0", "--out", str(tmp_path / "no" / "x.json")],
+         "cannot write"),
+    ]
     cases = [
         plan + ["--start", "0,0,0", "--goal", "1,0,0", "--timeout", "0"],
         plan + ["--start", "0,0,0", "--goal", "1,0,0", "--timeout", "-1"],
@@ -723,6 +730,27 @@ def test_cli_anytime_exit_codes(tmp_path, stable_env):
     trace = json.loads(out_path.read_text())
     assert trace["arrived"] is False
 
+    # one tick of a 2 m walk finds a plan but does not arrive: a best-effort end
+    short = scenario_doc(Environment([flat_region(0, 4.0, 2.0)]), -1.0, (1.0, 0.0, 0.0),
+                         max_ticks=1)
+    short_path = tmp_path / "short.json"
+    short_path.write_text(json.dumps(short))
+    assert cli_main(["anytime", "--scenario", str(short_path), "--out", str(out_path)]) == 2
+    trace = json.loads(out_path.read_text())
+    assert trace["arrived"] is False
+    assert [tick["status"] for tick in trace["ticks"]] == ["found_solution"]
+
+
+def test_an_unknown_log_level_is_reported_and_the_plan_still_runs(
+    tmp_path, stable_env, monkeypatch, caplog, capsys
+):
+    monkeypatch.setenv("FSP_LOG", "bogus")
+    argv = ["plan", "--env", str(write_flat_env(tmp_path)), "--start=-0.5,0,0", "--goal", "0.5,0,0",
+            "--params", str(write_params(tmp_path))]
+    assert cli_main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "found_solution"
+    assert "unknown FSP_LOG value 'bogus'; using error" in caplog.messages
+
 
 def test_cli_output_is_stable_across_hash_seeds(tmp_path):
     env_path = write_flat_env(tmp_path)
@@ -753,15 +781,25 @@ def test_cli_output_is_stable_across_hash_seeds(tmp_path):
     assert svgs[0] == svgs[1]
 
 
-def test_cli_import_does_not_load_scipy():
-    # the wiggle QP has its own solver; scipy's import alone costs more than
-    # the rest of the CLI start-up
-    probe = "import sys, footplan.toolkit.cli; print('scipy' in sys.modules)"
+def loaded_by_fresh_import(modules: str, name: str) -> bool:
+    """Whether a fresh interpreter that imports `modules` has loaded `name`."""
+    probe = f"import sys, {modules}; print({name!r} in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, env=dict(os.environ), timeout=120
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().strip() == "False"
+    return proc.stdout.decode().strip() == "True"
+
+
+def test_cli_import_does_not_load_scipy():
+    # the wiggle QP has its own solver; scipy's import alone costs more than
+    # the rest of the CLI start-up
+    assert not loaded_by_fresh_import("footplan.toolkit.cli", "scipy")
+
+
+def test_the_world_and_the_search_import_without_numpy():
+    # the package root imports no module, so only the wiggle QP brings numpy in
+    assert not loaded_by_fresh_import("footplan.world, footplan.planner", "numpy")
 
 
 def test_numpy_is_imported_only_by_the_wiggle_qp():
