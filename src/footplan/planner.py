@@ -10,13 +10,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .costing import (
-    CostParams,
-    cell_cost_bounds,
-    edge_cost,
-    heuristic_cost,
-    position_heuristic,
-)
+from .costing import CostParams, cell_cost_bounds, edge_cost, heuristic_cost, position_heuristic
 from .geometry import Pose2, wrap_angle
 from .lattice import (
     ExpansionParams,
@@ -190,15 +184,13 @@ class _Search:
       is the cell's `cell_cost_bounds` row and h_pos its
       `position_heuristic`.
     Expanding a node reserves one seq per child, in `expand_node`'s order,
-    and pushes one cell per (x, y); a cell with one child pushes its edge at
-    once. A cell's key is at most each of its edges' keys (h_pos <= h, and
-    h = -1 sorts first on an f tie), so it pops before any of them could.
-    Popping it pushes its edges with their reserved seqs. An edge is snapped,
-    validated and costed only when it is popped, and a scored node keeps the
-    seq of the edge that scored it, so the expansion order and ties are
-    those of an eager search that scores every child on expansion. A child
-    whose foothold fails a check of its own gets h = inf, and no edge into
-    it is pushed again.
+    and pushes one cell per (x, y); a cell with one child is opened at once.
+    A cell's key is at most each of its edges' keys (h_pos <= h, and h = -1
+    sorts first on an f tie), so it pops before any of them could. Opening a
+    cell hands its edges, with their seqs, to `admit`, the one loop that
+    admits edges. An edge is snapped, validated and costed only when it is
+    popped, and a scored node keeps the seq of the edge that scored it, so
+    the expansion order and ties are those of an eager search.
 
     The snap memo, the regions near each cell and the verdict memo,
     (parent, child) -> `validate_edge`'s answer, live in a `SearchMemo`: the
@@ -271,48 +263,43 @@ class _Search:
         heapq.heappush(self.frontier, (g + h, h, seq, node, None))
 
     def push_edges(self, node: FootstepNode):
-        """Reserve a seq per child of an expanded node and push a cell per
-        lattice cell, or the edge itself for a cell with one child."""
+        """Reserve a seq per child of an expanded node, push its cells of
+        more than one child, and admit the edges into the others at once."""
         request = self.request
         cells, count = cell_cost_bounds(
             request.lattice, request.expansion, request.cost, node.side, node.yaw_index
         )
         node_g = self.g[node]
-        x, y, side = node.x_index, node.y_index, node.side.opposite
-        closed, g, h_memo, frontier = self.closed, self.g, self.h_memo, self.frontier
+        x, y, side, frontier = node.x_index, node.y_index, node.side.opposite, self.frontier
         res, goal, cost = request.lattice.xy_resolution, request.goal_midstance, request.cost
         base = self.seq
+        edges = []
         for row in cells:
             dx, dy, first, least, members = row
             if len(members) > 1:
                 h = position_heuristic((x + dx) * res, (y + dy) * res, goal, cost)
                 heapq.heappush(frontier, (node_g + least + h, -1.0, base + first, node, row))
-                continue
-            (yaw, bound), = members
-            child = FootstepNode(x + dx, y + dy, yaw, side)
-            if child in closed:
-                continue
-            lower = node_g + bound
-            old = g.get(child)
-            if old is not None and lower >= old - 1e-12:
-                continue
-            h = h_memo.get(child)
-            if h is None:
-                h = self.heuristic(child)
-            elif h == math.inf:
-                continue  # its foothold failed a check of its own
-            heapq.heappush(frontier, (lower + h, h, base + first, child, node))
+            else:
+                (yaw, bound), = members
+                edges.append((base + first, FootstepNode(x + dx, y + dy, yaw, side), bound))
+        self.admit(node, edges)
         self.seq = base + count
 
     def open_cell(self, parent: FootstepNode, row: tuple, seq: int):
-        """Push a lazy edge from `parent` to each open child in a popped cell
-        that its lower bound does not already rule out."""
         dx, dy, _, _, members = row
         x, y, side = parent.x_index + dx, parent.y_index + dy, parent.side.opposite
+        self.admit(parent, [
+            (seq, FootstepNode(x, y, yaw, side), bound)
+            for seq, (yaw, bound) in enumerate(members, seq)
+        ])
+
+    def admit(self, parent: FootstepNode, edges: list):
+        """Push a lazy edge from `parent` for each (seq, child, bound) unless
+        the child is closed, the bound cannot beat its score, or its own
+        foothold failed a check (h = inf)."""
         node_g = self.g[parent]
         closed, g, h_memo, frontier = self.closed, self.g, self.h_memo, self.frontier
-        for seq, (yaw, bound) in enumerate(members, seq):
-            child = FootstepNode(x, y, yaw, side)
+        for seq, child, bound in edges:
             if child in closed:
                 continue
             lower = node_g + bound
@@ -345,19 +332,7 @@ class _Search:
         cost = edge_cost(self.snap(parent), self.snap(child), parent.side, request.cost)
         self.score(child, self.g[parent] + cost, parent, seq)
 
-    def chain(self, end: FootstepNode) -> list[FootstepNode]:
-        nodes = [end]
-        while self.parent[nodes[-1]] is not None:
-            nodes.append(self.parent[nodes[-1]])
-        nodes.reverse()
-        return nodes
-
-    def steps_for(self, end: FootstepNode) -> list[PlanStep]:
-        nodes = self.chain(end)
-        return [PlanStep(n.side, self.snap_memo[n]) for n in nodes[1:]]
-
-    def path_distance(self, end: FootstepNode) -> float:
-        nodes = self.chain(end)
+    def path_distance(self, nodes: list[FootstepNode]) -> float:
         poses = [node_to_pose(n, self.request.lattice) for n in nodes]
         mid = self.start_mid
         total = 0.0
@@ -377,19 +352,22 @@ def plan(request: PlannerRequest) -> PlannerResult:
         stats.duration_s = time.monotonic() - t0
         steps: list[PlanStep] = []
         if end is not None:
-            steps = search.steps_for(end)
+            nodes = [end]
+            while search.parent[nodes[-1]] is not None:
+                nodes.append(search.parent[nodes[-1]])
+            nodes.reverse()
+            steps = [PlanStep(n.side, search.snap_memo[n]) for n in nodes[1:]]
             stats.path_cost = search.g[end]
-            stats.path_distance_m = search.path_distance(end)
+            stats.path_distance_m = search.path_distance(nodes)
         return PlannerResult(status, steps, stats, search.tracker_history)
 
     start_nodes = (
         pose_to_node(request.start_left, Side.LEFT, request.lattice),
         pose_to_node(request.start_right, Side.RIGHT, request.lattice),
     )
-    for node in start_nodes:
-        if isinstance(search.snap(node), SnapFailure):
-            return finish(PlanStatus.INVALID_START, None)
     start_feet = [search.snap(node) for node in start_nodes]
+    if any(isinstance(snap, SnapFailure) for snap in start_feet):
+        return finish(PlanStatus.INVALID_START, None)
     goal_points = [(p.x, p.y) for p in search.goal_feet.values()]
     stats.no_path_reason = no_region_chain(request, start_feet, goal_points)
     if stats.no_path_reason is not None:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import math
 
+from .geometry import Pose2
+
 
 class InputError(ValueError):
     """Raised when an input document is malformed."""
@@ -53,6 +55,11 @@ def numbers(value, count: int, what: str, error: type[InputError]) -> list[float
     if not isinstance(value, (list, tuple)) or len(value) != count:
         raise error(f"{what} must be a list of {count} numbers, got {value!r}")
     return [number(v, what, error) for v in value]
+
+
+def pose(value, what: str, error: type[InputError]) -> Pose2:
+    """A pose [x, y, yaw]."""
+    return Pose2(*numbers(value, 3, what, error))
 
 
 def points(value, what: str, error: type[InputError]) -> list[tuple[float, float]]:

@@ -11,7 +11,7 @@ from pathlib import Path
 from ..geometry import Pose2
 from ..params import ParamsBundle, ParamsError, load_params
 from ..planner import plan
-from ..reading import InputError, decoded, number, numbers
+from ..reading import InputError, decoded, number, pose
 from ..world import Environment, WorldLoadError, load_environment
 
 CSV_COLUMNS = (
@@ -42,10 +42,6 @@ class BenchmarkEntry:
 @dataclass(frozen=True)
 class BenchmarkSuite:
     entries: tuple[BenchmarkEntry, ...]
-
-
-def _pose_of(doc, key: str, label: str) -> Pose2:
-    return Pose2(*numbers(doc.get(key), 3, f"{label}: field {key!r}", BenchmarkError))
 
 
 def load_benchmark_suite(document, base_dir: str | os.PathLike = ".") -> BenchmarkSuite:
@@ -81,13 +77,17 @@ def load_benchmark_suite(document, base_dir: str | os.PathLike = ".") -> Benchma
             params = resolve(entry.get("params", {}), load_params, label)
         except ParamsError as exc:
             raise BenchmarkError(f"{label}: {exc}") from None
+        start_left, start_right, goal = (
+            pose(entry.get(key), f"{label}: field {key!r}", BenchmarkError)
+            for key in ("start_left", "start_right", "goal")
+        )
         entries.append(
             BenchmarkEntry(
                 name=name,
                 environment=environment,
-                start_left=_pose_of(entry, "start_left", label),
-                start_right=_pose_of(entry, "start_right", label),
-                goal=_pose_of(entry, "goal", label),
+                start_left=start_left,
+                start_right=start_right,
+                goal=goal,
                 timeout=number(
                     entry.get("timeout", 10.0), f"{label}: timeout", BenchmarkError, positive=True
                 ),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from ..geometry import GeometryError, Pose2
 from ..params import ParamsBundle, ParamsError, load_params
 from ..planner import PlanStatus, SearchMemo, plan
-from ..reading import InputError, decoded, integer, number, numbers
+from ..reading import InputError, decoded, integer, number, pose
 from ..world import Environment, PlanarRegion, WorldLoadError, load_environment
 
 log = logging.getLogger("footplan.scenario")
@@ -45,10 +45,6 @@ class ScenarioScript:
     params: ParamsBundle = field(default_factory=ParamsBundle)
 
 
-def _pose_of(doc, key: str) -> Pose2:
-    return Pose2(*numbers(doc.get(key), 3, f"scenario field {key!r}", ScenarioError))
-
-
 def _object_of(doc: dict, key: str) -> dict:
     """The JSON object under `key`, {} when it is missing. A string is refused:
     the loaders would decode it as JSON text, where a suite reads a file name."""
@@ -71,9 +67,10 @@ def load_scenario_script(document) -> ScenarioScript:
         environment = load_environment(_object_of(document, "environment"))
     except WorldLoadError as exc:
         raise ScenarioError(f"environment: {exc}") from None
-    start_left = _pose_of(document, "start_left")
-    start_right = _pose_of(document, "start_right")
-    goal = _pose_of(document, "goal")
+    start_left, start_right, goal = (
+        pose(document.get(key), f"scenario field {key!r}", ScenarioError)
+        for key in ("start_left", "start_right", "goal")
+    )
 
     events_doc = document.get("events", [])
     if not isinstance(events_doc, list):
@@ -181,14 +178,14 @@ def _run_ticks(script: ScenarioScript, memo: SearchMemo) -> dict:
         advanced = None
         if result.steps:
             step = result.steps[0]
-            pose = step.snap.planar_pose
+            foot = step.snap.planar_pose
             if step.side.value == "left":
-                left = pose
+                left = foot
             else:
-                right = pose
+                right = foot
             advanced = {
                 "side": step.side.value,
-                "pose": [pose.x, pose.y, pose.yaw],
+                "pose": [foot.x, foot.y, foot.yaw],
                 "area_fraction": step.snap.area_fraction,
             }
         ticks.append(

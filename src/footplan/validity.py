@@ -92,6 +92,16 @@ class CheckerParams:
         ):
             if not getattr(self, name) > 0:  # NaN too
                 raise ValueError(f"{name} must be positive")
+        for name in (  # a bound may be negative, but NaN would turn it off
+            "max_forward",
+            "max_backward",
+            "max_inward",
+            "max_outward",
+            "tall_step_max_length",
+            "tall_step_max_width",
+        ):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must not be NaN")
         if not self.body_box_top > self.body_box_bottom:
             raise ValueError("body_box_top must exceed body_box_bottom")
 

@@ -313,19 +313,27 @@ def test_convex_sets_distance_degenerate_chain():
 
 def test_point_to_convex_distance_dense_oracle():
     rng = random.Random(43)
+    inside_seen = 0
     for _ in range(10):
         poly = random_convex_polygon(rng)
-        p = (rng.uniform(-3, 3), rng.uniform(-3, 3))
-        got = point_to_convex_distance(p, poly.vertices)
-        if ray_cast_inside(p, poly.vertices):
-            assert got == 0.0
-            continue
         verts = poly.vertices
         n = len(verts)
-        best = min(
-            point_segment_distance(p, verts[i], verts[(i + 1) % n]) for i in range(n)
+        # a convex combination with positive weights lies strictly inside
+        weights = [rng.uniform(0.1, 1.0) for _ in verts]
+        inside = tuple(
+            sum(w * v[k] for w, v in zip(weights, verts)) / sum(weights) for k in range(2)
         )
-        assert got == pytest.approx(best, abs=1e-12)
+        for p in ((rng.uniform(-3, 3), rng.uniform(-3, 3)), inside):
+            got = point_to_convex_distance(p, verts)
+            if ray_cast_inside(p, verts):
+                inside_seen += 1
+                assert got == 0.0
+                continue
+            best = min(
+                point_segment_distance(p, verts[i], verts[(i + 1) % n]) for i in range(n)
+            )
+            assert got == pytest.approx(best, abs=1e-12)
+    assert inside_seen >= 10
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,12 @@ def still_request(**kwargs) -> PlannerRequest:
         (ExpansionParams, "min_length", "min_length must not exceed max_length"),
         (CheckerParams, "max_reach", "max_reach must be positive"),
         (CheckerParams, "body_box_top", "body_box_top must exceed body_box_bottom"),
+        (CheckerParams, "max_forward", "max_forward must not be NaN"),
+        (CheckerParams, "max_backward", "max_backward must not be NaN"),
+        (CheckerParams, "max_inward", "max_inward must not be NaN"),
+        (CheckerParams, "max_outward", "max_outward must not be NaN"),
+        (CheckerParams, "tall_step_max_length", "tall_step_max_length must not be NaN"),
+        (CheckerParams, "tall_step_max_width", "tall_step_max_width must not be NaN"),
         (CostParams, "inflation", "inflation must be at least 1"),
         (CostParams, "w_distance", "w_distance must be non-negative"),
         (CostParams, "final_turn_radius", "final_turn_radius must be positive"),

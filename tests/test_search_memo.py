@@ -3,6 +3,7 @@ fresh searches of the same requests."""
 
 import dataclasses
 import json
+import logging
 import os
 import re
 import subprocess
@@ -297,3 +298,30 @@ def test_debug_log_reports_reuse_per_tick_and_leaves_the_output_alone(tmp_path):
     for tick, reused, computed, snapped, held in counts[:2]:
         assert reused == held == 0 and computed > 0 and snapped > 0
     assert counts[2][1] > 0 and counts[2][3] == 0 and counts[2][4] == counts[1][3]
+
+
+def test_debug_lines_in_process_add_up_to_each_ticks_children(monkeypatch, caplog):
+    # In this process, unlike the CLI test above, so the debug branch of the
+    # tick loop runs where a line trace of the suite can see it.
+    document = replan_doc([add(1.0, wall(9, 0.0, -0.35, 1.0))], max_ticks=4)
+    quiet = json.dumps(run_anytime_scenario(load_scenario_script(document)))
+    considered = []
+
+    def counting(request):
+        result = plan(request)
+        considered.append(result.stats.children_considered)
+        return result
+
+    monkeypatch.setattr(scenario, "plan", counting)
+    with caplog.at_level(logging.DEBUG, logger="footplan.scenario"):
+        trace = run_anytime_scenario(load_scenario_script(document))
+    assert json.dumps(trace) == quiet
+    assert trace["ticks"][1]["events"]  # the wall goes in at tick 1
+    lines = [r.getMessage() for r in caplog.records if r.name == "footplan.scenario"]
+    assert len(lines) == len(trace["ticks"]) == len(considered) == 4
+    pattern = re.compile(r"tick (\d+): verdicts (\d+) reused, (\d+) computed; ")
+    counts = [[int(v) for v in pattern.match(line).groups()] for line in lines]
+    for tick, ((index, reused, computed), children) in enumerate(zip(counts, considered)):
+        assert index == tick and reused + computed == children
+    # the edit empties the memo; the tick after it reuses the edited world's verdicts
+    assert counts[1][1] == 0 and counts[2][1] > 0

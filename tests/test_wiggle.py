@@ -1,5 +1,6 @@
 """Foothold adjustment QP: constraint assembly, optimality, and fallbacks."""
 
+import json
 import math
 import random
 from itertools import combinations
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 from footplan.constants import QP_FEAS_TOL, QP_KKT_TOL
 from footplan.geometry import ConvexPolygon2, Pose2, RigidTransform3, rectangle_polygon
 from footplan.lattice import Side
-from footplan.planner import PlanStep
-from footplan.snapping import SnapResult, default_foot, snap_pose
+from footplan.planner import PlannerResult, PlanStatus, PlanStep, SearchStats
+from footplan.snapping import SnapResult, crop_foothold, default_foot, snap_pose
+from footplan.toolkit import cli
 from footplan.wiggle import (
     WiggleParams,
     _inset_qps,
@@ -22,7 +24,7 @@ from footplan.wiggle import (
     wiggle_plan,
     wiggle_step,
 )
-from footplan.world import Environment, PlanarRegion
+from footplan.world import Environment, PlanarRegion, environment_to_json
 
 from test_geometry import min_inside_distance, random_convex_polygon
 from test_world import flat_region
@@ -284,6 +286,31 @@ def test_sole_wider_than_the_beam_is_left_alone():
     assert outcome.inset_used is None
     assert outcome.step is step
     assert outcome.translation == (0.0, 0.0)
+
+
+def test_a_step_off_its_region_is_returned_unchanged_and_written_without_foothold(
+    tmp_path, monkeypatch
+):
+    env = Environment([flat_region(0, 1.0, 1.0)])
+    snap = crop_foothold(env.region(0), 2.0, 0.0, 0.0, FOOT)  # 1.5 m past the edge
+    assert snap.piece_index is None and snap.cropped_foothold is None
+    step = PlanStep(Side.LEFT, snap)
+    outcome = wiggle_step(step, env, FOOT, WiggleParams())
+    assert outcome.step is step
+    assert outcome.inset_used is None
+    assert outcome.translation == (0.0, 0.0) and outcome.rotation == 0.0
+
+    # The plan command wiggles such a step and writes it with an empty foothold.
+    found = PlannerResult(PlanStatus.FOUND_SOLUTION, [step], SearchStats())
+    monkeypatch.setattr(cli, "plan", lambda request: found)
+    env_path, out = tmp_path / "env.json", tmp_path / "plan.json"
+    env_path.write_text(environment_to_json(env))
+    argv = ["plan", "--env", str(env_path), "--start", "0,0,0", "--goal", "0.3,0,0",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    (written,) = json.loads(out.read_text())["steps"]
+    assert written["foothold"] == []
+    assert written["translation"] == [2.0, 0.0, 0.0]
 
 
 def test_nearly_opposed_rows_leave_the_step_alone():
