@@ -72,37 +72,42 @@ class ParamsBundle:
         )
 
 
-def _keys(cls, prefix: str = "", loaded_apart: tuple[str, ...] = ()) -> set[str]:
-    """The document keys of a params class: its field names, prefixed, less
-    the fields that are not plain numbers and load on their own."""
-    return {prefix + f.name for f in fields(cls) if f.name not in loaded_apart}
-
-
-_LATTICE_KEYS = _keys(LatticeParams)
-_EXPANSION_KEYS = _keys(ExpansionParams, "expansion_")
-_CHECKER_KEYS = _keys(CheckerParams, loaded_apart=("stance_clearance",))
-_COST_KEYS = _keys(CostParams)
-_WIGGLE_KEYS = _keys(WiggleParams, "wiggle_", loaded_apart=("weights",))
-_POLYGON_KEYS = {"stance_clearance", "foot_sole"}
-_SCALAR_EXTRAS = {"goal_tolerance", "goal_tolerance_yaw"}
-_LIST_EXTRAS = {"wiggle_weights"}
-_ALL_KEYS = (
-    _LATTICE_KEYS
-    | _EXPANSION_KEYS
-    | _CHECKER_KEYS
-    | _COST_KEYS
-    | _WIGGLE_KEYS
-    | _POLYGON_KEYS
-    | _SCALAR_EXTRAS
-    | _LIST_EXTRAS
-)
-
-
-def _polygon_of(doc: dict, key: str) -> ConvexPolygon2:
+def _polygon(value, key: str) -> ConvexPolygon2:
     try:
-        return ConvexPolygon2(points(doc[key], key, ParamsError))
+        return ConvexPolygon2(points(value, key, ParamsError))
     except GeometryError as exc:
         raise ParamsError(f"{key}: {exc}") from None
+
+
+def _weights(value, key: str) -> tuple[float, ...]:
+    if not isinstance(value, list) or len(value) != 3:
+        raise ParamsError(f"{key} must be a list of 3 diagonal entries")
+    return tuple(number(v, f"{key}[{i}]", ParamsError) for i, v in enumerate(value))
+
+
+def _numbers(cls, prefix: str = "", apart: str = "") -> tuple[tuple[str, str], ...]:
+    """The (document key, field) of each field of `cls` but `apart`, in field
+    order: the fields that are plain numbers."""
+    return tuple((prefix + f.name, f.name) for f in fields(cls) if f.name != apart)
+
+
+# The document's keys, one row per bundle field in the order the loader reads
+# them, so a document with several faults is refused at the first in this
+# order: (bundle field, params class, number keys as (key, field), other keys
+# as (key, field, reader)). The last row holds the bundle's own numbers.
+_GROUPS = (
+    ("lattice", LatticeParams, _numbers(LatticeParams), ()),
+    ("expansion", ExpansionParams, _numbers(ExpansionParams, "expansion_"), ()),
+    ("checker", CheckerParams, _numbers(CheckerParams, apart="stance_clearance"),
+     (("stance_clearance", "stance_clearance", _polygon),)),
+    ("cost", CostParams, _numbers(CostParams), ()),
+    ("wiggle", WiggleParams, _numbers(WiggleParams, "wiggle_", apart="weights"),
+     (("wiggle_weights", "weights", _weights),)),
+    ("foot", FootPolygon, (), (("foot_sole", "sole", _polygon),)),
+    (None, None, (("goal_tolerance", "goal_tolerance"),
+                  ("goal_tolerance_yaw", "goal_tolerance_yaw")), ()),
+)
+_ALL_KEYS = frozenset(key for *_, numbers, others in _GROUPS for key, *_ in numbers + others)
 
 
 def load_params(document) -> ParamsBundle:
@@ -113,44 +118,21 @@ def load_params(document) -> ParamsBundle:
     if unknown:
         raise ParamsError(f"unknown parameter keys: {', '.join(unknown)}")
 
-    def group(keys, strip=""):
-        out = {}
-        for key in keys:
-            if key in document:
-                out[key[len(strip):] if strip else key] = number(document[key], key, ParamsError)
-        return out
-
     try:
-        lattice = LatticeParams(**group(_LATTICE_KEYS))
-        expansion = ExpansionParams(**group(_EXPANSION_KEYS, strip="expansion_"))
-        checker_kwargs = group(_CHECKER_KEYS)
-        if "stance_clearance" in document:
-            checker_kwargs["stance_clearance"] = _polygon_of(document, "stance_clearance")
-        checker = CheckerParams(**checker_kwargs)
-        cost = CostParams(**group(_COST_KEYS))
-        wiggle_kwargs = group(_WIGGLE_KEYS, strip="wiggle_")
-        if "wiggle_weights" in document:
-            diag = document["wiggle_weights"]
-            if not isinstance(diag, list) or len(diag) != 3:
-                raise ParamsError("wiggle_weights must be a list of 3 diagonal entries")
-            wiggle_kwargs["weights"] = tuple(
-                number(v, f"wiggle_weights[{i}]", ParamsError) for i, v in enumerate(diag)
-            )
-        wiggle = WiggleParams(**wiggle_kwargs)
-        foot = (
-            FootPolygon(_polygon_of(document, "foot_sole"))
-            if "foot_sole" in document
-            else default_foot()
-        )
-        return ParamsBundle(
-            lattice,
-            expansion,
-            checker,
-            cost,
-            wiggle,
-            foot,
-            **group(_SCALAR_EXTRAS),
-        )
+        bundle = {}
+        for name, cls, numbers, others in _GROUPS:
+            values = {
+                field: number(document[key], key, ParamsError)
+                for key, field in numbers if key in document
+            }
+            for key, field, read in others:
+                if key in document:
+                    values[field] = read(document[key], key)
+            if name is None:
+                bundle.update(values)
+            elif values:  # a group given no key keeps the bundle's default
+                bundle[name] = cls(**values)
+        return ParamsBundle(**bundle)
     except ParamsError:
         raise
     except (ValueError, GeometryError) as exc:
@@ -158,22 +140,17 @@ def load_params(document) -> ParamsBundle:
 
 
 def params_to_dict(bundle: ParamsBundle) -> dict:
-    doc = {
-        "goal_tolerance": bundle.goal_tolerance,
-        "goal_tolerance_yaw": bundle.goal_tolerance_yaw,
-        "foot_sole": [[x, y] for x, y in bundle.foot.sole.vertices],
-        "stance_clearance": [[x, y] for x, y in bundle.checker.stance_clearance.vertices],
-        "wiggle_weights": list(bundle.wiggle.weights),
-    }
-    for group, keys, prefix in (
-        (bundle.lattice, _LATTICE_KEYS, ""),
-        (bundle.expansion, _EXPANSION_KEYS, "expansion_"),
-        (bundle.checker, _CHECKER_KEYS, ""),
-        (bundle.cost, _COST_KEYS, ""),
-        (bundle.wiggle, _WIGGLE_KEYS, "wiggle_"),
-    ):
-        for key in keys:
-            doc[key] = getattr(group, key[len(prefix):])
+    doc = {}
+    for name, _, numbers, others in _GROUPS:
+        group = bundle if name is None else getattr(bundle, name)
+        for key, field in numbers:
+            doc[key] = getattr(group, field)
+        for key, field, _ in others:
+            value = getattr(group, field)  # a polygon or the weights tuple
+            doc[key] = (
+                [[x, y] for x, y in value.vertices] if isinstance(value, ConvexPolygon2)
+                else list(value)
+            )
     return doc
 
 

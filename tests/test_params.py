@@ -122,6 +122,36 @@ def test_malformed_documents():
         load_params({"w_distance": float("nan")})
 
 
+# Every key in the order the loader reads it: each group's numbers in field
+# order, the checker's clearance and the wiggle weights after their group's
+# numbers, then the sole and the goal tolerances.
+SCHEMA_ORDER = (
+    [f.name for f in fields(LatticeParams)]
+    + ["expansion_" + f.name for f in fields(ExpansionParams)]
+    + [f.name for f in fields(CheckerParams) if f.name != "stance_clearance"]
+    + ["stance_clearance"]
+    + [f.name for f in fields(CostParams)]
+    + ["wiggle_" + f.name for f in fields(WiggleParams) if f.name != "weights"]
+    + ["wiggle_weights", "foot_sole", "goal_tolerance", "goal_tolerance_yaw"]
+)
+
+
+def test_a_document_with_several_faults_names_the_first_in_schema_order():
+    assert sorted(SCHEMA_ORDER) == sorted(params_to_dict(ParamsBundle()))
+    with pytest.raises(ParamsError, match="^w_distance must be a number"):
+        load_params({"w_distance": "a", "w_height": "b", "w_yaw": "c", "cost_per_step": "d"})
+    rng = random.Random(3)
+    for _ in range(200):
+        chosen = rng.sample(SCHEMA_ORDER, rng.randint(2, 6))
+        first = min(chosen, key=SCHEMA_ORDER.index)
+        with pytest.raises(ParamsError) as caught:
+            load_params({key: "x" for key in reversed(chosen)})
+        assert str(caught.value).startswith(first + " "), (chosen, str(caught.value))
+    # a group's own check runs before any later group is read
+    with pytest.raises(ParamsError, match="lattice resolutions must be positive"):
+        load_params({"w_distance": "a", "xy_resolution": 0.0})
+
+
 def test_wiggle_weights_need_three_entries():
     for bad in ([1.0, 1.0], 5):
         with pytest.raises(ParamsError, match="3 diagonal entries"):

@@ -781,6 +781,25 @@ def test_cli_output_is_stable_across_hash_seeds(tmp_path):
     assert svgs[0] == svgs[1]
 
 
+def test_a_params_file_with_several_faults_is_refused_alike_under_every_hash_seed(tmp_path):
+    # the loader reads the keys in schema order, not in the order of a set
+    env_path = write_flat_env(tmp_path)
+    params_path = tmp_path / "params.json"
+    params_path.write_text(
+        json.dumps({"w_distance": "a", "w_height": "b", "w_yaw": "c", "cost_per_step": "d"})
+    )
+    argv = [sys.executable, "-m", "footplan", "plan", "--env", str(env_path),
+            "--start=-0.5,0,0", "--goal", "0.5,0,0", "--params", str(params_path)]
+    errors = set()
+    for seed in ("0", "2", "3"):
+        run_env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run(argv, capture_output=True, env=run_env, timeout=120)
+        assert proc.returncode == 4, proc.stderr.decode()
+        errors.add(proc.stderr.decode())
+    assert len(errors) == 1, errors
+    assert "w_distance must be a number" in errors.pop()
+
+
 def loaded_by_fresh_import(modules: str, name: str) -> bool:
     """Whether a fresh interpreter that imports `modules` has loaded `name`."""
     probe = f"import sys, {modules}; print({name!r} in sys.modules)"
