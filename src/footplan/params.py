@@ -122,12 +122,12 @@ def load_params(document) -> ParamsBundle:
         bundle = {}
         for name, cls, numbers, others in _GROUPS:
             values = {
-                field: number(document[key], key, ParamsError)
-                for key, field in numbers if key in document
+                attr: number(document[key], key, ParamsError)
+                for key, attr in numbers if key in document
             }
-            for key, field, read in others:
+            for key, attr, read in others:
                 if key in document:
-                    values[field] = read(document[key], key)
+                    values[attr] = read(document[key], key)
             if name is None:
                 bundle.update(values)
             elif values:  # a group given no key keeps the bundle's default
@@ -143,10 +143,10 @@ def params_to_dict(bundle: ParamsBundle) -> dict:
     doc = {}
     for name, _, numbers, others in _GROUPS:
         group = bundle if name is None else getattr(bundle, name)
-        for key, field in numbers:
-            doc[key] = getattr(group, field)
-        for key, field, _ in others:
-            value = getattr(group, field)  # a polygon or the weights tuple
+        for key, attr in numbers:
+            doc[key] = getattr(group, attr)
+        for key, attr, _ in others:
+            value = getattr(group, attr)  # a polygon or the weights tuple
             doc[key] = (
                 [[x, y] for x, y in value.vertices] if isinstance(value, ConvexPolygon2)
                 else list(value)

@@ -4,11 +4,14 @@ no chain of regions can link a start foot to the goal."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import BOUNDARY_SLACK, REACH_SLACK
-from .geometry import Point2, convex_sets_distance, point_to_convex_distance
-from .snapping import SnapResult
+from .geometry import Point2, clip_area, convex_sets_distance, point_to_convex_distance
+from .lattice import FootstepNode, Side, node_to_pose
+from .snapping import SnapResult, align_to_normal
+from .validity import surface_tilt
 
 if TYPE_CHECKING:
     from .planner import PlannerRequest
@@ -24,6 +27,39 @@ class _Site(NamedTuple):
     z_lo: float
     z_hi: float
     grow: float
+
+
+def _unstandable(region, request: PlannerRequest) -> str | None:
+    """Why every foothold the search may try on `region` fails `check_incline`
+    or `check_area`: "too steep" when the incline fails at every yaw, else
+    "too small for the foot". None when some foothold may pass both.
+
+    Search footholds sit at lattice yaws, and a foothold's rotation, roll and
+    pitch come from its yaw and the region's normal alone (`align_to_normal`),
+    so the incline test is the check itself at each yaw. `crop_foothold`'s
+    clip keeps sole vertices up to BOUNDARY_SLACK outside a piece's edge, so
+    it keeps at most the piece's plan-view area plus BOUNDARY_SLACK times its
+    perimeter (up to the corners' slack-squared terms, below rounding).
+    `check_area` divides the summed clip area by the sole's area times the
+    rotation's top-left minor, which is the normal's z for a proper rotation.
+    """
+    checker, foot = request.checker, request.foot
+    kept = sum(
+        clip_area(piece) + BOUNDARY_SLACK * sum(map(math.dist, piece, piece[1:] + piece[:1]))
+        for piece in region.projected_pieces
+    )
+    need = checker.min_area_fraction - BOUNDARY_SLACK
+    steep = True
+    for k in range(request.lattice.yaw_count):
+        yaw = node_to_pose(FootstepNode(0, 0, k, Side.LEFT), request.lattice).yaw
+        ((l00, l01, _), (l10, l11, _), _), roll, pitch = align_to_normal(yaw, region.up_normal)
+        if surface_tilt(roll, pitch) > checker.max_incline + BOUNDARY_SLACK:
+            continue
+        steep = False
+        det = l00 * l11 - l01 * l10
+        if det > 0.0 and kept / (foot.sole.area * det) >= need:
+            return None
+    return "too steep" if steep else "too small for the foot"
 
 
 def no_region_chain(
@@ -50,7 +86,9 @@ def no_region_chain(
     foot), each region's height range within max_step_up above or
     max_step_down below the one before, ending on a site within
     goal_tolerance + grow of a goal foot. The height limits make the links
-    directed. Walls cannot be stood on and are left out.
+    directed. Walls cannot be stood on and are left out, and so are the
+    regions `_unstandable` finds no foothold on: every foothold but the start
+    feet passed `check_incline` and `check_area`.
     """
     foot, checker = request.foot, request.checker
     if foot.centrally_symmetric and checker.min_area_fraction - BOUNDARY_SLACK > 0.5:
@@ -97,7 +135,18 @@ def no_region_chain(
         return any(point_to_convex_distance(g, item.hull) <= goal_bound for g in goal_points)
 
     starts = [_Site(((s.x, s.y),), (s.x, s.y, s.x, s.y), s.z, s.z, 0.0) for s in start_feet]
-    unreached = [region_site(region) for region in request.env.regions if region.snappable]
+    unreached = []
+    left_out: Counter[str] = Counter()
+    for region in request.env.regions:
+        if region.snappable:
+            why = _unstandable(region, request)
+            if why is None:
+                unreached.append(region_site(region))
+            else:
+                left_out[why] += 1
+    note = "".join(
+        f"; left out {n} region{'s' if n > 1 else ''} {why}" for why, n in sorted(left_out.items())
+    )
     reached = list(starts)
     stack = list(starts)
     while stack:
@@ -112,18 +161,20 @@ def no_region_chain(
         stack += links
 
     if not any(at_goal(site) for site in unreached):
-        return f"no standable region within {goal_bound:.2f} m of a goal foot"
+        return f"no standable region within {goal_bound:.2f} m of a goal foot{note}"
     pairs = [(item, site) for item in reached for site in unreached]
     nearest, limit = min(
         ((gap(item, site), bound(item)) for item, site in pairs),
         key=lambda pair: pair[0] - pair[1],
     )
     if nearest > limit:
-        return f"no region chain within reach: nearest gap {nearest:.2f} m > bound {limit:.2f} m"
+        return (
+            f"no region chain within reach: nearest gap {nearest:.2f} m > bound {limit:.2f} m{note}"
+        )
     excess, height_limit, kind = min(
         climb(item, site) for item, site in pairs if gap(item, site) <= bound(item)
     )
     return (
         f"no region chain within step height: least {kind} {excess + height_limit:.2f} m"
-        f" > limit {height_limit:.2f} m"
+        f" > limit {height_limit:.2f} m{note}"
     )

@@ -39,13 +39,11 @@ class BenchmarkEntry:
     params: ParamsBundle = field(default_factory=ParamsBundle)
 
 
-@dataclass(frozen=True)
-class BenchmarkSuite:
-    entries: tuple[BenchmarkEntry, ...]
-
-
-def load_benchmark_suite(document, base_dir: str | os.PathLike = ".") -> BenchmarkSuite:
-    """Parse a benchmark suite; environment/params may be inline or file paths."""
+def load_benchmark_suite(
+    document, base_dir: str | os.PathLike = "."
+) -> tuple[BenchmarkEntry, ...]:
+    """Parse a benchmark suite into its entries; environment/params may be
+    inline or file paths."""
     document = decoded(document, BenchmarkError)
     if not isinstance(document, dict) or not isinstance(document.get("entries"), list):
         raise BenchmarkError('benchmark suite must be an object with an "entries" list')
@@ -94,12 +92,12 @@ def load_benchmark_suite(document, base_dir: str | os.PathLike = ".") -> Benchma
                 params=params,
             )
         )
-    return BenchmarkSuite(tuple(entries))
+    return tuple(entries)
 
 
-def run_benchmark(suite: BenchmarkSuite) -> list[dict]:
+def run_benchmark(entries: tuple[BenchmarkEntry, ...]) -> list[dict]:
     rows = []
-    for entry in suite.entries:
+    for entry in entries:
         result = plan(
             entry.params.planner_request(
                 entry.environment, entry.start_left, entry.start_right, entry.goal, entry.timeout

@@ -16,6 +16,8 @@ _HIGH_RGB = (150, 128, 96)
 _WALL_COLOR = "#4a5568"
 _SIDE_FILL = {"left": "#2b6cb0", "right": "#c05621"}
 _CROP_FILL = "#2f855a"
+_SCALE = 160.0  # pixels per meter
+_PAD = 0.4  # meters of margin around the drawn bounds
 
 
 def _fmt(value: float) -> str:
@@ -34,12 +36,12 @@ def _height_color(z: float, z_lo: float, z_hi: float) -> str:
 
 
 class _Canvas:
-    def __init__(self, bounds, scale: float = 160.0, pad: float = 0.4):
+    def __init__(self, bounds):
         x0, y0, x1, y1 = bounds
-        self.x0, self.y1 = x0 - pad, y1 + pad
-        self.scale = scale
-        self.width = (x1 - x0 + 2 * pad) * scale
-        self.height = (y1 - y0 + 2 * pad) * scale
+        self.x0, self.y1 = x0 - _PAD, y1 + _PAD
+        self.scale = _SCALE
+        self.width = (x1 - x0 + 2 * _PAD) * _SCALE
+        self.height = (y1 - y0 + 2 * _PAD) * _SCALE
 
     def to_px(self, x: float, y: float):
         return (x - self.x0) * self.scale, (self.y1 - y) * self.scale

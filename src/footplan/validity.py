@@ -106,11 +106,15 @@ class CheckerParams:
             raise ValueError("body_box_top must exceed body_box_bottom")
 
 
+def surface_tilt(roll: float, pitch: float) -> float:
+    """The angle of a sole's z-axis from vertical, given its roll and pitch."""
+    cos_r, sin_r = math.cos(roll), math.sin(roll)
+    cos_p, sin_p = math.cos(pitch), math.sin(pitch)
+    return math.atan2(math.hypot(sin_p * cos_r, sin_r), cos_p * cos_r)
+
+
 def check_incline(snap: SnapResult, params: CheckerParams) -> RejectionReason | None:
-    cos_r, sin_r = math.cos(snap.surface_roll), math.sin(snap.surface_roll)
-    cos_p, sin_p = math.cos(snap.surface_pitch), math.sin(snap.surface_pitch)
-    tilt = math.atan2(math.hypot(sin_p * cos_r, sin_r), cos_p * cos_r)
-    if tilt > params.max_incline + BOUNDARY_SLACK:
+    if surface_tilt(snap.surface_roll, snap.surface_pitch) > params.max_incline + BOUNDARY_SLACK:
         return RejectionReason.TOO_STEEP
     return None
 

@@ -174,10 +174,8 @@ class Environment:
         return Environment(tuple(r for r in self.regions if r.region_id != region_id))
 
 
-def _boxes_touch(a, b, pad: float = 0.0) -> bool:
-    return not (
-        a[2] + pad < b[0] or b[2] + pad < a[0] or a[3] + pad < b[1] or b[3] + pad < a[1]
-    )
+def _boxes_touch(a, b) -> bool:
+    return not (a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1])
 
 
 def regions_overlapping_disc(env: Environment, center, radius: float) -> list[int]:

@@ -1,5 +1,6 @@
 """Search behavior: solutions, failures, best-effort output, and determinism."""
 
+import json
 import math
 from dataclasses import replace
 from unittest import mock
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from footplan import planner
+from footplan.constants import BOUNDARY_SLACK
 from footplan.costing import CostParams, edge_cost
 from footplan.geometry import (
     Pose2,
@@ -341,6 +343,122 @@ def test_region_check_keeps_a_request_solvable_at_its_bounds():
     assert [step.snap.region_id for step in result.steps][:2] == [0, 1]
 
 
+def bridged_gap(*bridge):
+    """Two 1 x 1 m platforms 1.2 m apart with the `bridge` regions between
+    them, and a default-params request from one to the other."""
+    platforms = [flat_region(0, 1.0, 1.0), flat_region(1, 1.0, 1.0, center=(2.2, 0.0))]
+    return PlannerRequest(
+        env=Environment(platforms + list(bridge)),
+        start_left=Pose2(0.0, 0.125, 0.0),
+        start_right=Pose2(0.0, -0.125, 0.0),
+        goal_midstance=Pose2(2.2, 0.0, 0.0),
+        timeout=3.0,
+    )
+
+
+def tilted_region(region_id, length, width, center, pitch=0.0, roll=0.0) -> PlanarRegion:
+    transform = RigidTransform3(recompose(0.0, pitch, roll), np.array([*center, 0.0]))
+    return PlanarRegion(region_id, transform, [rectangle_polygon(length, width)])
+
+
+# Three 6 x 6 cm stones, too small for the foot, and a 0.3 m strip rolled 60
+# degrees, too steep: each links the platforms for the region check alone.
+UNSTANDABLE_BRIDGES = {
+    "stones": [flat_region(2 + i, 0.06, 0.06, center=(0.8 + 0.3 * i, 0.0)) for i in range(3)],
+    "strip": [tilted_region(2, 1.2, 0.3, (1.1, 0.0), roll=math.radians(60.0))],
+}
+
+
+@pytest.mark.parametrize("bridge", sorted(UNSTANDABLE_BRIDGES))
+def test_a_gap_bridged_only_by_unstandable_regions_has_no_path_at_once(bridge):
+    result = plan(bridged_gap(*UNSTANDABLE_BRIDGES[bridge]))
+    assert result.status is PlanStatus.NO_PATH_EXISTS
+    assert result.stats.nodes_expanded == 0
+    kind = "too small for the foot" if bridge == "stones" else "too steep"
+    assert result.stats.no_path_reason.endswith(kind)
+
+
+@pytest.mark.parametrize("bridge", sorted(UNSTANDABLE_BRIDGES))
+def test_the_command_line_answers_an_unstandable_bridge_with_exit_3(bridge, tmp_path):
+    from footplan.toolkit.cli import main as cli_main
+    from footplan.world import environment_to_json
+
+    env_path, out_path = tmp_path / "env.json", tmp_path / "plan.json"
+    env_path.write_text(environment_to_json(bridged_gap(*UNSTANDABLE_BRIDGES[bridge]).env))
+    argv = ["plan", "--env", str(env_path), "--start", "0,0,0", "--goal", "2.2,0,0",
+            "--timeout", "3", "--out", str(out_path)]
+    assert cli_main(argv) == 3
+    stats = json.loads(out_path.read_text())["stats"]
+    assert stats["nodes_expanded"] == 0
+    assert "left out" in stats["no_path_reason"]
+
+
+# Bridges at the edge of standable for the default checker and foot, over a
+# 0.6 m gap that the 0.5 m reach cannot cross. A foot centered on the bridge
+# at (0.3, 0) holds all of it but for the narrow stone, whose long edges lie
+# half a BOUNDARY_SLACK inside the sole's: the clip keeps the sole's corners
+# there. SUPPORT is the least area a flat foothold may keep.
+FOOT_AREA = default_foot().sole.area
+SUPPORT = (CheckerParams().min_area_fraction - BOUNDARY_SLACK) * FOOT_AREA
+MAX_INCLINE = CheckerParams().max_incline
+
+
+def stone(length, width, pitch=0.0, roll=0.0) -> PlanarRegion:
+    return tilted_region(2, length, width, (0.3, 0.0), pitch, roll)
+
+
+def gap_request(bridge) -> PlannerRequest:
+    return PlannerRequest(
+        env=Environment([
+            flat_region(0, 0.6, 0.8, center=(-0.3, 0.0)),
+            bridge,
+            flat_region(1, 0.6, 0.8, center=(0.9, 0.0)),
+        ]),
+        start_left=Pose2(-0.1, 0.1, 0.0),
+        start_right=Pose2(-0.1, -0.1, 0.0),
+        goal_midstance=Pose2(0.9, 0.0, 0.0),
+        lattice=LatticeParams(xy_resolution=0.05, yaw_resolution=math.tau / 4),
+        expansion=replace(NARROW, min_width=0.0),
+    )
+
+
+STANDABLE_BRIDGES = {
+    # tilted within the check's slack
+    "ramp": stone(0.3, 0.3, roll=MAX_INCLINE + 0.5e-9),
+    # its area is below SUPPORT, but the clip keeps the sole's full width
+    "narrow stone": stone((SUPPORT + 5e-11) / 0.11, 0.11 - BOUNDARY_SLACK),
+    # rolled 30 degrees: its plan-view area is 0.69 of the sole's, and the
+    # tilted sole's plan view shrinks by the same factor
+    "tilted stone": stone(0.2, 0.8 * FOOT_AREA / 0.2, roll=math.radians(30.0)),
+}
+# Just past the edge: even with BOUNDARY_SLACK all round, the stone keeps
+# 1e-10 m^2 less than SUPPORT.
+HAIR_WIDTH = (SUPPORT - 1e-10 - 2.0 * BOUNDARY_SLACK * 0.2) / (0.2 + 2.0 * BOUNDARY_SLACK)
+UNSTANDABLE_BY_A_HAIR = {
+    "ramp": stone(0.3, 0.3, roll=MAX_INCLINE + 1.5e-9),
+    "stone": stone(0.2, HAIR_WIDTH),
+}
+
+
+@pytest.mark.parametrize("bridge", sorted(STANDABLE_BRIDGES))
+def test_a_bridge_at_the_edge_of_standable_stays_in_the_region_check(bridge):
+    request = gap_request(STANDABLE_BRIDGES[bridge])
+    result = plan(request)
+    assert result.status is PlanStatus.FOUND_SOLUTION, result.stats.no_path_reason
+    assert 2 in [step.snap.region_id for step in result.steps]
+    assert plan(replace(request, env=request.env.without_region(2))).status is (
+        PlanStatus.NO_PATH_EXISTS
+    )
+
+
+@pytest.mark.parametrize("bridge", sorted(UNSTANDABLE_BY_A_HAIR))
+def test_a_bridge_just_past_the_edge_of_standable_is_left_out(bridge):
+    result = plan(gap_request(UNSTANDABLE_BY_A_HAIR[bridge]))
+    assert result.status is PlanStatus.NO_PATH_EXISTS
+    assert result.stats.nodes_expanded == 0
+    assert "; left out 1 region" in result.stats.no_path_reason
+
+
 @st.composite
 def region_worlds(draw):
     """A plan request along a chain of 1-4 regions: a start platform, then
@@ -348,7 +466,14 @@ def region_worlds(draw):
     and whose heights are often near the step height limits, a symmetric or
     lopsided sole and a support fraction on either side of one half. Flat
     edges and gaps often fall on the lattice, so footholds can sit right at
-    an edge."""
+    an edge. Some regions are tilted, or small, to within 1e-9 of the most a
+    foothold may be (`check_incline`) or the least it may keep
+    (`check_area`)."""
+    sole_length, sole_width = draw(st.floats(0.1, 0.25)), draw(st.floats(0.06, 0.12))
+    shift = 0.0 if draw(st.booleans()) else draw(st.floats(-0.3, 0.3)) * sole_length
+    foot = FootPolygon(rectangle_polygon(sole_length, sole_width, center=(shift, 0.0)))
+    fraction = draw(st.one_of(st.floats(0.3, 0.5), st.floats(0.501, 0.55), st.floats(0.55, 0.9)))
+    near = st.sampled_from((-1e-9, -5e-10, 0.0, 5e-10, 1e-9, 1.5e-9, 2e-8, 0.2))
     grid = st.integers(2, 10).map(lambda k: 0.05 * k)
     reach = draw(st.sampled_from((0.25, 0.3, 0.35, 0.4)))
     first = 0.1 * draw(st.integers(2, 6))
@@ -356,6 +481,10 @@ def region_worlds(draw):
     edge = first / 2.0
     for region_id in range(1, draw(st.integers(1, 4))):
         width, left = draw(st.floats(0.1, 0.8)), draw(grid)
+        if draw(st.integers(0, 4)) == 0:  # small: its area near the least that passes
+            left = draw(st.floats(0.5, 1.0)) * sole_length
+            area = (fraction - BOUNDARY_SLACK) * foot.sole.area * (1.0 - draw(near))
+            width = area / left
         pieces = [rectangle_polygon(left, width, center=(-left / 2.0, 0.0))]
         length = left
         if draw(st.booleans()):
@@ -366,18 +495,18 @@ def region_worlds(draw):
         x = edge + reach + offset + length / 2.0
         z = draw(st.one_of(st.floats(-0.1, 0.1), st.floats(-0.6, 0.6)))
         center = np.array([x, draw(st.floats(-0.2, 0.2)), z])
-        if draw(st.integers(0, 4)) == 0:
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
             rotation = recompose(draw(st.floats(-math.pi, math.pi)), math.pi / 2.0, 0.0)
         else:
             tilt = st.one_of(st.just(0.0), st.floats(-0.4, 0.4))
             yaw = draw(st.sampled_from((0.0, math.pi / 2.0)))
-            rotation = recompose(yaw, draw(tilt), draw(tilt))
+            if kind == 1:  # steep: its tilt near the most that passes
+                rotation = recompose(yaw, MAX_INCLINE + draw(near), 0.0)
+            else:
+                rotation = recompose(yaw, draw(tilt), draw(tilt))
             edge = x + length / 2.0
         regions.append(PlanarRegion(region_id, RigidTransform3(rotation, center), pieces))
-    sole_length, sole_width = draw(st.floats(0.1, 0.25)), draw(st.floats(0.06, 0.12))
-    shift = 0.0 if draw(st.booleans()) else draw(st.floats(-0.3, 0.3)) * sole_length
-    foot = FootPolygon(rectangle_polygon(sole_length, sole_width, center=(shift, 0.0)))
-    fraction = draw(st.one_of(st.floats(0.3, 0.5), st.floats(0.501, 0.55), st.floats(0.55, 0.9)))
     up, down = draw(st.sampled_from((0.25, 0.35))), draw(st.sampled_from((0.25, 0.35)))
     goal = Pose2(edge - draw(st.floats(0.0, 0.3)), draw(st.floats(-0.4, 0.4)), 0.0)
     return PlannerRequest(

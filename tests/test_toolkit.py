@@ -309,9 +309,9 @@ def test_benchmark_suite_resolves_file_references(tmp_path):
             }
         ]
     }
-    suite = load_benchmark_suite(json.dumps(doc), base_dir=tmp_path)
-    assert suite.entries[0].environment.regions[0].region_id == 0
-    assert suite.entries[0].params.expansion.max_length == 0.4
+    entries = load_benchmark_suite(json.dumps(doc), base_dir=tmp_path)
+    assert entries[0].environment.regions[0].region_id == 0
+    assert entries[0].params.expansion.max_length == 0.4
 
     doc["entries"][0]["environment"] = "missing.json"
     with pytest.raises(BenchmarkError, match="cannot read"):
