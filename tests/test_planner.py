@@ -356,8 +356,8 @@ def bridged_gap(*bridge):
     )
 
 
-def tilted_region(region_id, length, width, center, pitch=0.0, roll=0.0) -> PlanarRegion:
-    transform = RigidTransform3(recompose(0.0, pitch, roll), np.array([*center, 0.0]))
+def tilted_region(region_id, length, width, center, roll=0.0) -> PlanarRegion:
+    transform = RigidTransform3(recompose(0.0, 0.0, roll), np.array([*center, 0.0]))
     return PlanarRegion(region_id, transform, [rectangle_polygon(length, width)])
 
 
@@ -403,8 +403,8 @@ SUPPORT = (CheckerParams().min_area_fraction - BOUNDARY_SLACK) * FOOT_AREA
 MAX_INCLINE = CheckerParams().max_incline
 
 
-def stone(length, width, pitch=0.0, roll=0.0) -> PlanarRegion:
-    return tilted_region(2, length, width, (0.3, 0.0), pitch, roll)
+def stone(length, width, roll=0.0) -> PlanarRegion:
+    return tilted_region(2, length, width, (0.3, 0.0), roll)
 
 
 def gap_request(bridge) -> PlannerRequest:
