@@ -178,7 +178,11 @@ def clip_vertices(subject, clip_verts, slack: float = BOUNDARY_SLACK) -> list[Po
     """Sutherland-Hodgman clip of `subject` against convex CCW `clip_verts`.
 
     Operates on raw vertex sequences so hot paths can skip polygon
-    re-validation. Returns a (possibly empty) vertex list.
+    re-validation. Returns a (possibly empty) vertex list. A vertex up to
+    `slack` outside an edge is kept. A side running from a kept vertex to one
+    beyond the slack is cut where it meets the edge, or at the kept vertex
+    when that lies outside the edge, so every vertex returned lies within
+    `slack` outside each edge.
     """
     output = list(subject)
     n = len(clip_verts)
@@ -199,11 +203,11 @@ def clip_vertices(subject, clip_verts, slack: float = BOUNDARY_SLACK) -> list[Po
             cur_d = (ey * (cur[0] - ax) - ex * (cur[1] - ay)) / scale
             if cur_d <= slack:
                 if prev_d > slack:
-                    t = prev_d / (prev_d - cur_d)
+                    t = min(1.0, prev_d / (prev_d - cur_d))
                     output.append((prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1])))
                 output.append(cur)
             elif prev_d <= slack:
-                t = prev_d / (prev_d - cur_d)
+                t = max(0.0, prev_d / (prev_d - cur_d))
                 output.append((prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1])))
             prev, prev_d = cur, cur_d
     return output

@@ -11,7 +11,7 @@ from .constants import BOUNDARY_SLACK, REACH_SLACK
 from .geometry import Point2, clip_area, convex_sets_distance, point_to_convex_distance
 from .lattice import FootstepNode, Side, node_to_pose
 from .snapping import SnapResult, align_to_normal
-from .validity import surface_tilt
+from .validity import too_little_area, too_steep
 
 if TYPE_CHECKING:
     from .planner import PlannerRequest
@@ -36,28 +36,28 @@ def _unstandable(region, request: PlannerRequest) -> str | None:
 
     Search footholds sit at lattice yaws, and a foothold's rotation, roll and
     pitch come from its yaw and the region's normal alone (`align_to_normal`),
-    so the incline test is the check itself at each yaw. `crop_foothold`'s
-    clip keeps sole vertices up to BOUNDARY_SLACK outside a piece's edge, so
-    it keeps at most the piece's plan-view area plus BOUNDARY_SLACK times its
-    perimeter (up to the corners' slack-squared terms, below rounding).
-    `check_area` divides the summed clip area by the sole's area times the
-    rotation's top-left minor, which is the normal's z for a proper rotation.
+    so the incline test is the check itself at each yaw. Every vertex of
+    `crop_foothold`'s clip lies within BOUNDARY_SLACK outside each piece edge,
+    so the clip keeps at most the piece's plan-view area plus BOUNDARY_SLACK
+    times its perimeter (up to the corners' slack-squared terms, below
+    rounding). `check_area` divides the summed clip area by the sole's area
+    times the rotation's top-left minor, which is the normal's z for a proper
+    rotation.
     """
     checker, foot = request.checker, request.foot
     kept = sum(
         clip_area(piece) + BOUNDARY_SLACK * sum(map(math.dist, piece, piece[1:] + piece[:1]))
         for piece in region.projected_pieces
     )
-    need = checker.min_area_fraction - BOUNDARY_SLACK
     steep = True
     for k in range(request.lattice.yaw_count):
         yaw = node_to_pose(FootstepNode(0, 0, k, Side.LEFT), request.lattice).yaw
         ((l00, l01, _), (l10, l11, _), _), roll, pitch = align_to_normal(yaw, region.up_normal)
-        if surface_tilt(roll, pitch) > checker.max_incline + BOUNDARY_SLACK:
+        if too_steep(roll, pitch, checker):
             continue
         steep = False
         det = l00 * l11 - l01 * l10
-        if det > 0.0 and kept / (foot.sole.area * det) >= need:
+        if det > 0.0 and not too_little_area(kept / (foot.sole.area * det), checker):
             return None
     return "too steep" if steep else "too small for the foot"
 

@@ -106,21 +106,27 @@ class CheckerParams:
             raise ValueError("body_box_top must exceed body_box_bottom")
 
 
-def surface_tilt(roll: float, pitch: float) -> float:
-    """The angle of a sole's z-axis from vertical, given its roll and pitch."""
+def too_steep(roll: float, pitch: float, params: CheckerParams) -> bool:
+    """Whether a sole with this roll and pitch tilts past max_incline."""
     cos_r, sin_r = math.cos(roll), math.sin(roll)
     cos_p, sin_p = math.cos(pitch), math.sin(pitch)
-    return math.atan2(math.hypot(sin_p * cos_r, sin_r), cos_p * cos_r)
+    tilt = math.atan2(math.hypot(sin_p * cos_r, sin_r), cos_p * cos_r)
+    return tilt > params.max_incline + BOUNDARY_SLACK
+
+
+def too_little_area(fraction: float, params: CheckerParams) -> bool:
+    """Whether a sole supported over this fraction of its area has too little."""
+    return fraction < params.min_area_fraction - BOUNDARY_SLACK
 
 
 def check_incline(snap: SnapResult, params: CheckerParams) -> RejectionReason | None:
-    if surface_tilt(snap.surface_roll, snap.surface_pitch) > params.max_incline + BOUNDARY_SLACK:
+    if too_steep(snap.surface_roll, snap.surface_pitch, params):
         return RejectionReason.TOO_STEEP
     return None
 
 
 def check_area(snap: SnapResult, params: CheckerParams) -> RejectionReason | None:
-    if snap.area_fraction < params.min_area_fraction - BOUNDARY_SLACK:
+    if too_little_area(snap.area_fraction, params):
         return RejectionReason.INSUFFICIENT_AREA
     return None
 

@@ -237,6 +237,23 @@ def test_clip_contained_in_both():
             assert point_in_polygon(p, b, slack=1e-7)
 
 
+@pytest.mark.parametrize(
+    "left_xs",
+    [(-1.0001e-9, -1e-9), (-1e-9, -1.0001e-9)],
+    ids=["leaves_a_kept_vertex", "enters_a_kept_vertex"],
+)
+def test_clip_never_extrapolates_past_a_vertex_kept_within_the_slack(left_xs):
+    # one left vertex lies just inside the slack, the other just beyond it, so
+    # the side between them never meets the clip edge x = 0
+    (low_x, high_x), slack = left_xs, 1e-9
+    subject = [(low_x, 0.1), (0.5, 0.1), (0.5, 0.9), (high_x, 0.9)]
+    unit = rectangle_polygon(1.0, 1.0, center=(0.5, 0.5))
+    out = clip_vertices(subject, unit.vertices, slack)
+    for x, y in out:
+        assert -slack <= x <= 0.5 and 0.1 - 1e-12 <= y <= 0.9 + 1e-12
+    assert 0.4 <= clip_area(out) <= 0.4 + slack * 0.8
+
+
 def test_clip_tolerates_duplicate_clip_vertices():
     # degenerate clip chains appear when vertical regions project to plan view
     a = rectangle_polygon(1.0, 1.0)

@@ -496,12 +496,12 @@ def region_worlds(draw):
         z = draw(st.one_of(st.floats(-0.1, 0.1), st.floats(-0.6, 0.6)))
         center = np.array([x, draw(st.floats(-0.2, 0.2)), z])
         kind = draw(st.integers(0, 9))
-        if kind == 0:
+        if kind <= 1:
             rotation = recompose(draw(st.floats(-math.pi, math.pi)), math.pi / 2.0, 0.0)
         else:
             tilt = st.one_of(st.just(0.0), st.floats(-0.4, 0.4))
             yaw = draw(st.sampled_from((0.0, math.pi / 2.0)))
-            if kind == 1:  # steep: its tilt near the most that passes
+            if kind == 2:  # steep: its tilt near the most that passes
                 rotation = recompose(yaw, MAX_INCLINE + draw(near), 0.0)
             else:
                 rotation = recompose(yaw, draw(tilt), draw(tilt))

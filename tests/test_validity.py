@@ -105,6 +105,18 @@ def test_incline_combines_roll_and_pitch():
     assert check_incline(combined, PARAMS) is RejectionReason.TOO_STEEP
 
 
+@pytest.mark.parametrize("over, passes", [(0.5, True), (2.0, False)])
+def test_incline_and_area_pass_within_the_boundary_slack(over, passes):
+    # a foothold over a bound by half the slack passes, by twice it fails
+    excess = over * BOUNDARY_SLACK
+    snap = SnapResult(
+        0.0, 0.0, 0.0, 0.0, 0.0, PARAMS.max_incline + excess, 0, None,
+        PARAMS.min_area_fraction - excess, np.eye(3), (), None,
+    )
+    assert (check_incline(snap, PARAMS) is None) is passes
+    assert (check_area(snap, PARAMS) is None) is passes
+
+
 def test_area_threshold():
     env = Environment([flat_region(0, 3.0, 0.1016, center=(0.0, 0.025))])
     partial = snap(0.0, 0.0, env=env)
