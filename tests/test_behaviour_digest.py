@@ -1,6 +1,7 @@
-"""The behaviour digest: the seed-1 `terrain`, `replan` and `infeasible` bench
-corpora and the probe, replayed through the command line, must give the
-searches recorded in tests/data/behaviour_digest.json, field for field.
+"""The behaviour digest: the seed-1 `terrain`, `replan`, `infeasible` and
+`corridor` bench corpora and the probe, replayed through the command line,
+must give the searches recorded in tests/data/behaviour_digest.json, field
+for field.
 
 Each search is recorded as its status, counters, rejections by reason,
 `repr(path_cost)`, each step's side and snapped pose, and `no_path_reason`.
@@ -29,7 +30,7 @@ REWRITE = "PYTHONPATH=src python tests/test_behaviour_digest.py"
 # The corpus: pinned at the bench's seed-1, 30-second sizes, so a re-size of
 # the bench workloads shows up here as a corpus change.
 SEED, SECONDS = 1, 30.0
-WORKLOADS = ("terrain", "replan", "infeasible")
+WORKLOADS = ("terrain", "replan", "infeasible", "corridor")
 
 
 def step_record(step: planner.PlanStep) -> str:
