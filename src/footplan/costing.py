@@ -14,10 +14,11 @@ from .lattice import (
     LatticeParams,
     Side,
     expand_node,
+    from_frame,
+    midstance_pose,
     node_to_pose,
 )
 from .snapping import SnapResult
-from .validity import midstance_pose
 
 
 @dataclass(frozen=True)
@@ -52,10 +53,7 @@ def _planar_terms(
 ) -> tuple[float, float]:
     """A step's midstance displacement from the parent's nominal midstance
     and its midstance yaw change."""
-    offset = stance_side.mirror_sign * stance_width / 2.0
-    cos_y, sin_y = math.cos(parent.yaw), math.sin(parent.yaw)
-    nominal_mid = (parent.x - sin_y * offset, parent.y + cos_y * offset)
-
+    nominal_mid = from_frame(parent, 0.0, stance_side.mirror_sign * stance_width / 2.0)
     mid = midstance_pose(parent, child)
     d_mid = math.hypot(mid.x - nominal_mid[0], mid.y - nominal_mid[1])
     d_yaw = abs(wrap_angle(mid.yaw - parent.yaw))
@@ -135,17 +133,16 @@ def cell_cost_bounds(
     return rows, len(children)
 
 
-def reference_yaw(position: Point2, goal: Pose2, start: Pose2, params: CostParams) -> float:
+def reference_yaw(position: Point2, goal: Pose2, params: CostParams) -> float:
     """Desired heading at a position: toward the goal far away, blending into
-    the goal's own yaw inside the final turn radius."""
+    the goal's own yaw inside the final turn radius, and the goal's yaw on
+    the goal itself."""
     dx = goal.x - position[0]
     dy = goal.y - position[1]
     distance = math.hypot(dx, dy)
     if distance < 1e-12:
-        sx, sy = goal.x - start.x, goal.y - start.y
-        heading = math.atan2(sy, sx) if math.hypot(sx, sy) > 1e-12 else goal.yaw
-    else:
-        heading = math.atan2(dy, dx)
+        return goal.yaw
+    heading = math.atan2(dy, dx)
     if distance >= params.final_turn_radius:
         return heading
     blend = 1.0 - distance / params.final_turn_radius
@@ -160,9 +157,9 @@ def _goal_terms(x: float, y: float, goal: Pose2, params: CostParams) -> tuple[fl
     return distance, max(0, steps)
 
 
-def heuristic_cost(pose: Pose2, goal: Pose2, start: Pose2, params: CostParams) -> float:
+def heuristic_cost(pose: Pose2, goal: Pose2, params: CostParams) -> float:
     distance, steps = _goal_terms(pose.x, pose.y, goal, params)
-    yaw_error = abs(wrap_angle(pose.yaw - reference_yaw((pose.x, pose.y), goal, start, params)))
+    yaw_error = abs(wrap_angle(pose.yaw - reference_yaw((pose.x, pose.y), goal, params)))
     return params.inflation * (
         params.w_distance * distance
         + params.w_yaw * yaw_error

@@ -1,4 +1,5 @@
-"""Footstep lattice: discrete node set and the reachability-box expansion."""
+"""Footstep lattice: discrete node set, the stance frame and the
+reachability-box expansion."""
 
 from __future__ import annotations
 
@@ -112,16 +113,39 @@ def pose_to_node(pose: Pose2, side: Side, params: LatticeParams) -> FootstepNode
     )
 
 
-def expansion_scan_bound(lattice: LatticeParams, expansion: ExpansionParams) -> float:
-    """An upper bound on the work of one `_expansion_offsets` scan: the cells
-    of its bounding rectangle times its yaw steps (at least one).
+def to_frame(yaw: float, ox: float, oy: float) -> tuple[float, float]:
+    """The world offset (ox, oy) as (forward, left) in a frame headed `yaw`."""
+    cos_y, sin_y = math.cos(yaw), math.sin(yaw)
+    return ox * cos_y + oy * sin_y, -ox * sin_y + oy * cos_y
 
-    The rectangle holds the reach box, whose corners lie within their
-    farthest distance from the stance foot, clipped to max_reach; a side of
-    it spans at most twice that over xy_resolution, plus four cells of
-    rounding and margin. Computed in floats, so no params overflow it.
-    """
-    radius = min(
+
+def from_frame(origin: Pose2, forward: float, left: float) -> tuple[float, float]:
+    """The world point `forward` ahead of and `left` to the left of `origin`."""
+    cos_y, sin_y = math.cos(origin.yaw), math.sin(origin.yaw)
+    return origin.x + forward * cos_y - left * sin_y, origin.y + forward * sin_y + left * cos_y
+
+
+def midstance_pose(parent: Pose2, child: Pose2) -> Pose2:
+    """The pose halfway between two feet, headed halfway between them."""
+    return Pose2(
+        (parent.x + child.x) / 2.0,
+        (parent.y + child.y) / 2.0,
+        parent.yaw + wrap_angle(child.yaw - parent.yaw) / 2.0,
+    )
+
+
+def feet_from_midstance(mid: Pose2, stance_width: float) -> tuple[Pose2, Pose2]:
+    """The left and right foot poses of a nominal stance around `mid`."""
+    half = stance_width / 2.0
+    left = Pose2(*from_frame(mid, 0.0, half), mid.yaw)
+    right = Pose2(*from_frame(mid, 0.0, -half), mid.yaw)
+    return left, right
+
+
+def _scan_radius(expansion: ExpansionParams) -> float:
+    """How far from the stance foot a child may land: the reach box's
+    farthest corner, capped at max_reach."""
+    return min(
         expansion.max_reach,
         max(
             math.hypot(length, width)
@@ -129,7 +153,15 @@ def expansion_scan_bound(lattice: LatticeParams, expansion: ExpansionParams) -> 
             for width in (expansion.min_width, expansion.max_width)
         ),
     )
-    side = 2.0 * radius / lattice.xy_resolution + 4.0
+
+
+def expansion_scan_bound(lattice: LatticeParams, expansion: ExpansionParams) -> float:
+    """An upper bound on the work of one `_expansion_offsets` scan: the cells
+    of its square, whose side holds at most 2 `_scan_radius` / xy_resolution
+    + 3 cells, times its yaw steps (at least one). Computed in floats, so no
+    params overflow it.
+    """
+    side = 2.0 * _scan_radius(expansion) / lattice.xy_resolution + 4.0
     yaw_span = (expansion.max_yaw_delta - expansion.min_yaw_delta) / lattice.yaw_resolution
     return side * side * (yaw_span + 1.0 + 2.0 * EXPANSION_BOUND_SLACK)
 
@@ -147,22 +179,7 @@ def _expansion_offsets(
     res = lattice.xy_resolution
     yaw = wrap_angle(yaw_index * lattice.yaw_resolution)
     sign = side.mirror_sign
-    cos_y, sin_y = math.cos(yaw), math.sin(yaw)
     slack = EXPANSION_BOUND_SLACK
-
-    # Mirrored lateral bounds give the stance-frame dy interval for this side.
-    dy_lo, dy_hi = sorted((sign * expansion.min_width, sign * expansion.max_width))
-    corners = [
-        (dx, dy)
-        for dx in (expansion.min_length, expansion.max_length)
-        for dy in (dy_lo, dy_hi)
-    ]
-    world = [(dx * cos_y - dy * sin_y, dx * sin_y + dy * cos_y) for dx, dy in corners]
-    reach = expansion.max_reach
-    wx_lo = max(min(w[0] for w in world), -reach)
-    wx_hi = min(max(w[0] for w in world), reach)
-    wy_lo = max(min(w[1] for w in world), -reach)
-    wy_hi = min(max(w[1] for w in world), reach)
 
     yaw_steps = sorted(
         int(sign) * k
@@ -172,28 +189,22 @@ def _expansion_offsets(
         )
     )
 
+    # Every child lies within _scan_radius (plus slack) of the stance foot:
+    # scan the square of cells around that disc, with a cell of margin.
+    span = math.floor(_scan_radius(expansion) / res + slack) + 1
     cells = []
-    for jx in range(math.ceil(wx_lo / res - slack) - 1, math.floor(wx_hi / res + slack) + 2):
-        for jy in range(math.ceil(wy_lo / res - slack) - 1, math.floor(wy_hi / res + slack) + 2):
-            ox = jx * res
-            oy = jy * res
-            dx = ox * cos_y + oy * sin_y
-            dy = -ox * sin_y + oy * cos_y
+    for jx in range(-span, span + 1):
+        for jy in range(-span, span + 1):
+            dx, dy = to_frame(yaw, jx * res, jy * res)
             lateral = sign * dy
             if not (expansion.min_length - slack <= dx <= expansion.max_length + slack):
                 continue
             if not (expansion.min_width - slack <= lateral <= expansion.max_width + slack):
                 continue
-            if math.hypot(dx, dy) > reach + slack:
+            if math.hypot(dx, dy) > expansion.max_reach + slack:
                 continue
             cells.append((dx, dy, jx, jy))
-
-    ordered = []
-    for dx, dy, jx, jy in sorted(cells):
-        for step in yaw_steps:
-            ordered.append((dx, dy, step * lattice.yaw_resolution, jx, jy, step))
-    ordered.sort(key=lambda item: (item[0], item[1], item[2]))
-    return tuple((jx, jy, step) for _, _, _, jx, jy, step in ordered)
+    return tuple((jx, jy, step) for _, _, jx, jy in sorted(cells) for step in yaw_steps)
 
 
 def expand_node(
@@ -201,10 +212,11 @@ def expand_node(
 ) -> list[FootstepNode]:
     """All opposite-side lattice vertices inside the parent's reachability box.
 
-    Candidates come from scanning the box's world-aligned bounding rectangle,
-    keeping cells whose stance-frame offset satisfies the length, width, and
-    Euclidean-reach bounds, then crossing with the allowed yaw offsets. The
-    result is duplicate-free and sorted by stance-frame (dx, dy, dyaw).
+    Candidates come from scanning the square of cells around the disc of
+    `_scan_radius`, keeping cells whose stance-frame offset satisfies the
+    length, width, and Euclidean-reach bounds, then crossing with the allowed
+    yaw offsets. The result is sorted by stance-frame (dx, dy, dyaw), and
+    duplicate-free while the yaw window spans less than a full turn.
     """
     count = lattice.yaw_count
     offsets = _expansion_offsets(lattice, expansion, parent.side, parent.yaw_index % count)

@@ -18,6 +18,8 @@ from .lattice import (
     LatticeParams,
     Side,
     expand_node,  # not called here; perfbench/spans.py traces it by this name
+    feet_from_midstance,
+    midstance_pose,
     node_to_pose,
     pose_to_node,
 )
@@ -27,7 +29,6 @@ from .validity import (
     FOOTHOLD_REASONS,
     CheckerParams,
     RejectionReason,
-    midstance_pose,
     validate_edge,
 )
 from .world import Environment, PlanarRegion
@@ -55,8 +56,8 @@ class SearchMemo:
     verdict only on its two snaps, the world, the checker and the foot. So
     the memo holds while the request's `env` is the same object and its
     `lattice`, `foot` and `checker` are equal; `bind` empties it on any other
-    request. Costs and heuristics are not kept: the heuristic depends on the
-    start.
+    request. Costs and heuristics are not kept: they depend on the request's
+    cost params, and the heuristic on its goal.
     """
 
     def __init__(self):
@@ -157,15 +158,6 @@ class PlannerResult:
     tracker_history: list[float] = field(default_factory=list)
 
 
-def feet_from_midstance(mid: Pose2, stance_width: float) -> tuple[Pose2, Pose2]:
-    """The left and right foot poses of a nominal stance around `mid`."""
-    half = stance_width / 2.0
-    cos_y, sin_y = math.cos(mid.yaw), math.sin(mid.yaw)
-    left = Pose2(mid.x - sin_y * half, mid.y + cos_y * half, mid.yaw)
-    right = Pose2(mid.x + sin_y * half, mid.y - cos_y * half, mid.yaw)
-    return left, right
-
-
 def _within_goal(pose: Pose2, target: Pose2, request: PlannerRequest) -> bool:
     if math.hypot(pose.x - target.x, pose.y - target.y) > request.goal_tolerance + 1e-12:
         return False
@@ -237,9 +229,7 @@ class _Search:
         cached = self.h_memo.get(node)
         if cached is None:
             pose = node_to_pose(node, self.request.lattice)
-            cached = heuristic_cost(
-                pose, self.request.goal_midstance, self.start_mid, self.request.cost
-            )
+            cached = heuristic_cost(pose, self.request.goal_midstance, self.request.cost)
             self.h_memo[node] = cached
         return cached
 

@@ -17,7 +17,8 @@ from pathlib import Path
 
 from ..geometry import GeometryError, Pose2
 from ..params import ParamsBundle, ParamsError, load_params
-from ..planner import PlanStatus, feet_from_midstance, plan
+from ..lattice import feet_from_midstance
+from ..planner import PlanStatus, plan
 from ..reading import InputError
 from ..validity import RejectionReason
 from ..wiggle import wiggle_plan
@@ -178,10 +179,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        env = generate_environment(args.kind, args.seed)
-    except (WorldLoadError, GeometryError) as exc:
-        raise CliInputError(str(exc)) from None
+    env = generate_environment(args.kind, args.seed)
     _write_text(args.out, environment_to_json(env))
     return 0
 

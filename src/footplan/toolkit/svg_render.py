@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 from ..geometry import Pose2
+from ..lattice import from_frame
 
 _BG = "#f7fafc"
 _LOW_RGB = (214, 228, 214)
@@ -49,9 +50,7 @@ class _Canvas:
 
 def _pose_marker(canvas: _Canvas, pose: Pose2, color: str, label: str) -> list[str]:
     cx, cy = canvas.to_px(pose.x, pose.y)
-    hx, hy = canvas.to_px(
-        pose.x + 0.18 * math.cos(pose.yaw), pose.y + 0.18 * math.sin(pose.yaw)
-    )
+    hx, hy = canvas.to_px(*from_frame(pose, 0.18, 0.0))
     radius = 0.06 * canvas.scale
     return [
         f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" fill="none" '

@@ -16,14 +16,12 @@ from itertools import chain
 from .constants import BOUNDARY_SLACK
 from .geometry import (
     ConvexPolygon2,
-    Pose2,
     convex_sets_distance,
     polygons_overlap,
     rectangle_polygon,
     transform_points,
-    wrap_angle,
 )
-from .lattice import Side
+from .lattice import Side, from_frame, midstance_pose, to_frame
 from .snapping import FootPolygon, SnapFailure, SnapResult
 from .world import Environment, plane_height_at
 
@@ -149,10 +147,9 @@ def check_step_geometry(
         if polygons_overlap(child_outline, clearance):
             return RejectionReason.SELF_OVERLAP
 
-    cos_y, sin_y = math.cos(parent.yaw), math.sin(parent.yaw)
     ox, oy = child.x - parent.x, child.y - parent.y
-    dx = ox * cos_y + oy * sin_y
-    lateral = stance_side.mirror_sign * (-ox * sin_y + oy * cos_y)
+    dx, dy = to_frame(parent.yaw, ox, oy)
+    lateral = stance_side.mirror_sign * dy
     slack = BOUNDARY_SLACK
     if (
         dx > params.max_forward + slack
@@ -293,14 +290,6 @@ def check_step_over(
     return None
 
 
-def midstance_pose(parent: Pose2, child: Pose2) -> Pose2:
-    return Pose2(
-        (parent.x + child.x) / 2.0,
-        (parent.y + child.y) / 2.0,
-        parent.yaw + wrap_angle(child.yaw - parent.yaw) / 2.0,
-    )
-
-
 def check_body_box(
     parent_snap: SnapResult,
     child_snap: SnapResult,
@@ -314,14 +303,13 @@ def check_body_box(
     if not near:
         return None
     mid = midstance_pose(parent_snap.planar_pose, child_snap.planar_pose)
-    cos_y, sin_y = math.cos(mid.yaw), math.sin(mid.yaw)
     half_d = params.body_box_depth / 2.0
     half_w = params.body_box_width / 2.0
     corners_2d = [
-        (mid.x + cos_y * sx * half_d - sin_y * sy * half_w,
-         mid.y + sin_y * sx * half_d + cos_y * sy * half_w)
+        from_frame(mid, sx * half_d, sy * half_w)
         for sx, sy in ((1, 1), (1, -1), (-1, -1), (-1, 1))
     ]
+    cos_y, sin_y = math.cos(mid.yaw), math.sin(mid.yaw)
     box_axes = ((cos_y, sin_y, 0.0), (-sin_y, cos_y, 0.0), (0.0, 0.0, 1.0))
     if _prism_hits_regions(near, corners_2d, z_lo, z_hi, box_axes, box_axes):
         return RejectionReason.BODY_BOX_COLLISION

@@ -25,6 +25,7 @@ from footplan.lattice import (
     LatticeParams,
     Side,
     expand_node,
+    midstance_pose,
     node_to_pose,
     pose_to_node,
 )
@@ -33,7 +34,7 @@ from footplan.planner import PlannerRequest, PlanStatus, PlanStep, plan
 from footplan.snapping import SnapFailure, SnapResult, default_foot, snap_node, snap_pose
 from footplan.toolkit.generators import generate_environment
 from footplan.toolkit.scenario import load_scenario_script, run_anytime_scenario
-from footplan.validity import CheckerParams, check_body_box, midstance_pose, validate_edge
+from footplan.validity import CheckerParams, check_body_box, validate_edge
 from footplan.wiggle import WiggleParams, kkt_residual, solve_qp3, wiggle_step
 from footplan.world import Environment, PlanarRegion, environment_to_dict
 

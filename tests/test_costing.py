@@ -201,34 +201,30 @@ def test_edge_cost_mirror_symmetry():
 
 def test_reference_yaw_points_at_the_goal_when_far():
     goal = Pose2(2.0, 2.0, math.pi / 2.0)
-    start = Pose2(0.0, 0.0, 0.0)
-    assert reference_yaw((0.0, 0.0), goal, start, PARAMS) == pytest.approx(math.pi / 4.0)
-    assert reference_yaw((2.0, 0.0), goal, start, PARAMS) == pytest.approx(math.pi / 2.0)
+    assert reference_yaw((0.0, 0.0), goal, PARAMS) == pytest.approx(math.pi / 4.0)
+    assert reference_yaw((2.0, 0.0), goal, PARAMS) == pytest.approx(math.pi / 2.0)
 
 
 def test_reference_yaw_blends_inside_the_final_turn():
     goal = Pose2(1.0, 0.0, math.pi / 2.0)
-    start = Pose2(-1.0, 0.0, 0.0)
     # halfway into the turn radius: halfway between approach heading and goal yaw
     position = (1.0 - PARAMS.final_turn_radius / 2.0, 0.0)
-    assert reference_yaw(position, goal, start, PARAMS) == pytest.approx(math.pi / 4.0)
-    # at the goal position the start direction stands in for the approach
-    assert reference_yaw((1.0, 0.0), goal, start, PARAMS) == pytest.approx(math.pi / 2.0)
+    assert reference_yaw(position, goal, PARAMS) == pytest.approx(math.pi / 4.0)
+    # at the goal position the heading is the goal's own yaw
+    assert reference_yaw((1.0, 0.0), goal, PARAMS) == pytest.approx(math.pi / 2.0)
 
 
 def test_reference_yaw_is_continuous_at_the_turn_radius():
     goal = Pose2(1.0, 0.0, math.radians(80.0))
-    start = Pose2(-1.0, 0.0, 0.0)
     r = PARAMS.final_turn_radius
-    just_out = reference_yaw((1.0 - r - 1e-9, 0.0), goal, start, PARAMS)
-    just_in = reference_yaw((1.0 - r + 1e-9, 0.0), goal, start, PARAMS)
+    just_out = reference_yaw((1.0 - r - 1e-9, 0.0), goal, PARAMS)
+    just_in = reference_yaw((1.0 - r + 1e-9, 0.0), goal, PARAMS)
     assert abs(just_out - just_in) < 1e-6
 
 
 def test_reference_yaw_degenerate_start_and_goal():
     goal = Pose2(1.0, 1.0, 0.7)
-    start = Pose2(1.0, 1.0, 0.0)
-    assert reference_yaw((1.0, 1.0), goal, start, PARAMS) == pytest.approx(0.7)
+    assert reference_yaw((1.0, 1.0), goal, PARAMS) == pytest.approx(0.7)
 
 
 # ---------------------------------------------------------------------------
@@ -240,33 +236,27 @@ def test_heuristic_worked_example():
     # all inflated
     pose = Pose2(0.0, 0.0, 0.0)
     goal = Pose2(1.0, 0.0, 0.0)
-    start = Pose2(-1.0, 0.0, 0.0)
     steps = 3  # ceil(1.0 / 0.45)
     expected = PARAMS.inflation * (1.0 + steps * PARAMS.cost_per_step)
-    assert heuristic_cost(pose, goal, start, PARAMS) == pytest.approx(expected, abs=1e-12)
+    assert heuristic_cost(pose, goal, PARAMS) == pytest.approx(expected, abs=1e-12)
 
 
 def test_heuristic_step_count_does_not_overshoot_on_exact_multiples():
     pose = Pose2(0.0, 0.0, 0.0)
     goal = Pose2(0.9, 0.0, 0.0)
-    start = Pose2(-1.0, 0.0, 0.0)
     expected = PARAMS.inflation * (0.9 + 2 * PARAMS.cost_per_step)
-    assert heuristic_cost(pose, goal, start, PARAMS) == pytest.approx(expected, abs=1e-9)
+    assert heuristic_cost(pose, goal, PARAMS) == pytest.approx(expected, abs=1e-9)
 
 
 def test_heuristic_vanishes_at_the_goal():
     goal = Pose2(1.0, 2.0, 0.4)
-    start = Pose2(0.0, 0.0, 0.0)
-    assert heuristic_cost(Pose2(1.0, 2.0, 0.4), goal, start, PARAMS) == pytest.approx(
-        0.0, abs=1e-12
-    )
+    assert heuristic_cost(Pose2(1.0, 2.0, 0.4), goal, PARAMS) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_heuristic_charges_heading_error():
     goal = Pose2(10.0, 0.0, 0.0)
-    start = Pose2(0.0, 0.0, 0.0)
-    aligned = heuristic_cost(Pose2(0.0, 0.0, 0.0), goal, start, PARAMS)
-    skewed = heuristic_cost(Pose2(0.0, 0.0, 1.0), goal, start, PARAMS)
+    aligned = heuristic_cost(Pose2(0.0, 0.0, 0.0), goal, PARAMS)
+    skewed = heuristic_cost(Pose2(0.0, 0.0, 1.0), goal, PARAMS)
     assert skewed == pytest.approx(aligned + PARAMS.inflation * PARAMS.w_yaw * 1.0, abs=1e-9)
 
 
@@ -275,16 +265,14 @@ def test_heuristic_scales_with_inflation():
     loose = CostParams(inflation=2.0)
     pose = Pose2(0.0, 0.0, 0.3)
     goal = Pose2(2.0, 1.0, -0.5)
-    start = Pose2(-1.0, 0.0, 0.0)
-    assert heuristic_cost(pose, goal, start, loose) == pytest.approx(
-        2.0 * heuristic_cost(pose, goal, start, tight), abs=1e-12
+    assert heuristic_cost(pose, goal, loose) == pytest.approx(
+        2.0 * heuristic_cost(pose, goal, tight), abs=1e-12
     )
 
 
 def test_heuristic_grows_with_distance():
     goal = Pose2(0.0, 0.0, 0.0)
-    start = Pose2(-3.0, 0.0, 0.0)
-    values = [heuristic_cost(Pose2(-d, 0.0, 0.0), goal, start, PARAMS) for d in (0.5, 1.0, 2.0)]
+    values = [heuristic_cost(Pose2(-d, 0.0, 0.0), goal, PARAMS) for d in (0.5, 1.0, 2.0)]
     assert values[0] < values[1] < values[2]
 
 

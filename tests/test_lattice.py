@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from footplan.geometry import Pose2, wrap_angle
 from footplan.lattice import (
@@ -21,7 +23,8 @@ from footplan.lattice import (
 
 
 def oracle_children(parent, lattice, expansion):
-    """Every opposite-side vertex whose stance-frame offset obeys the box.
+    """Every opposite-side vertex whose stance-frame offset obeys the box,
+    mapped to that offset (dx, dy, dyaw).
 
     Scans a grid square generously wider than the reach cap, so nothing the
     cached implementation could emit lies outside the scan.
@@ -33,7 +36,7 @@ def oracle_children(parent, lattice, expansion):
     cos_y, sin_y = math.cos(yaw), math.sin(yaw)
     span = math.ceil(expansion.max_reach / res) + 3
     tol = 1e-9
-    kids = set()
+    kids = {}
     for jx in range(-span, span + 1):
         for jy in range(-span, span + 1):
             ox, oy = jx * res, jy * res
@@ -50,14 +53,13 @@ def oracle_children(parent, lattice, expansion):
                 delta = sign * k * lattice.yaw_resolution
                 if not (expansion.min_yaw_delta - tol <= delta <= expansion.max_yaw_delta + tol):
                     continue
-                kids.add(
-                    FootstepNode(
-                        parent.x_index + jx,
-                        parent.y_index + jy,
-                        (parent.yaw_index + k) % count,
-                        parent.side.opposite,
-                    )
+                child = FootstepNode(
+                    parent.x_index + jx,
+                    parent.y_index + jy,
+                    (parent.yaw_index + k) % count,
+                    parent.side.opposite,
                 )
+                kids[child] = (dx, dy, k * lattice.yaw_resolution)
     return kids
 
 
@@ -129,7 +131,7 @@ def test_expansion_matches_oracle_on_axis():
     expansion = ExpansionParams()
     parent = FootstepNode(2, -1, 0, Side.LEFT)
     children = expand_node(parent, lattice, expansion)
-    assert set(children) == oracle_children(parent, lattice, expansion)
+    assert set(children) == oracle_children(parent, lattice, expansion).keys()
     assert len(children) == len(set(children))
 
 
@@ -140,7 +142,7 @@ def test_expansion_matches_oracle_rotated_bins():
         for side in (Side.LEFT, Side.RIGHT):
             parent = FootstepNode(0, 0, yaw_index, side)
             children = expand_node(parent, lattice, expansion)
-            assert set(children) == oracle_children(parent, lattice, expansion), (
+            assert set(children) == oracle_children(parent, lattice, expansion).keys(), (
                 yaw_index,
                 side,
             )
@@ -160,7 +162,61 @@ def test_expansion_matches_oracle_asymmetric_window():
     for side in (Side.LEFT, Side.RIGHT):
         parent = FootstepNode(1, 1, 3, side)
         children = expand_node(parent, lattice, expansion)
-        assert set(children) == oracle_children(parent, lattice, expansion), side
+        assert set(children) == oracle_children(parent, lattice, expansion).keys(), side
+
+
+@st.composite
+def lattices_and_boxes(draw):
+    """A lattice and a reach box: lengths and widths of either sign, often on
+    the lattice to within half the slack, a reach below or above the box's
+    farthest corner, and a yaw window that is empty (between two bins), full
+    (every bin once) or drawn (at least a bin wide, under a full turn)."""
+    lattice = LatticeParams(draw(st.floats(0.02, 0.125)), math.tau / draw(st.integers(1, 72)))
+    res = lattice.xy_resolution
+
+    def bound(lo, hi):
+        on_lattice = st.builds(
+            lambda k, jitter: k * res + jitter,
+            st.integers(math.ceil(lo / res), math.floor(hi / res)),
+            st.sampled_from((-5e-10, 0.0, 5e-10)),
+        )
+        return draw(st.one_of(st.floats(lo, hi), on_lattice))
+
+    lengths = sorted((bound(-0.4, 0.5), bound(-0.4, 0.5)))
+    widths = sorted((bound(-0.3, 0.45), bound(-0.3, 0.45)))
+    corner = max(math.hypot(length, width) for length in lengths for width in widths)
+    reach = bound(0.0, corner) if draw(st.booleans()) else corner * draw(st.floats(0.5, 1.5))
+    reach = max(0.01, reach)
+    window = draw(st.sampled_from(("drawn", "empty", "full")))
+    step = lattice.yaw_resolution
+    if window == "empty":
+        yaw_lo = yaw_hi = step * (draw(st.integers(-3, 3)) + 0.5)
+    elif window == "full":
+        yaw_lo, yaw_hi = -math.pi + step / 2.0, math.pi
+    else:
+        yaw_lo = draw(st.floats(-math.pi, 0.0))  # the oracle scans yaw changes within a turn
+        yaw_hi = yaw_lo + draw(st.floats(min(step, math.pi), max(math.tau - step, math.pi)))
+    expansion = ExpansionParams(
+        min_length=lengths[0],
+        max_length=lengths[1],
+        min_width=widths[0],
+        max_width=widths[1],
+        min_yaw_delta=yaw_lo,
+        max_yaw_delta=yaw_hi,
+        max_reach=reach,
+    )
+    return lattice, expansion
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattices_and_boxes(), st.sampled_from(Side), st.integers(0, 71))
+def test_expansion_matches_the_oracle_in_stance_frame_order(case, side, yaw_index):
+    lattice, expansion = case
+    parent = FootstepNode(3, -2, yaw_index % lattice.yaw_count, side)
+    children = expand_node(parent, lattice, expansion)
+    oracle = oracle_children(parent, lattice, expansion)
+    assert set(children) == oracle.keys()
+    assert children == sorted(oracle, key=oracle.get)
 
 
 def test_children_are_opposite_side_and_in_range():

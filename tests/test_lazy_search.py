@@ -27,6 +27,7 @@ from footplan.lattice import (
     LatticeParams,
     Side,
     expand_node,
+    feet_from_midstance,
     node_to_pose,
     pose_to_node,
 )
@@ -39,14 +40,13 @@ from footplan.planner import (
     SearchStats,
     _Search,
     _within_goal,
-    feet_from_midstance,
     plan,
 )
 from footplan.region_chain import no_region_chain
 from footplan.snapping import SnapFailure, SnapResult, default_foot, snap_pose
 from footplan.toolkit import cli, scenario
 from footplan.toolkit.generators import generate_environment
-from footplan.validity import CheckerParams, midstance_pose, validate_edge
+from footplan.validity import CheckerParams, validate_edge
 from footplan.world import Environment, PlanarRegion
 
 from test_snapping import recompose
@@ -70,7 +70,6 @@ def eager_plan(request: PlannerRequest) -> PlannerResult:
     h_memo: dict = {}
     history: list[float] = []
     best: list = [None, None]  # (h, g) key, node
-    start_mid = midstance_pose(request.start_left, request.start_right)
     goal_feet = dict(
         zip((Side.LEFT, Side.RIGHT),
             feet_from_midstance(request.goal_midstance, request.cost.nominal_stance_width))
@@ -88,7 +87,7 @@ def eager_plan(request: PlannerRequest) -> PlannerResult:
         g[node], parent[node] = value, via
         if node not in h_memo:
             h_memo[node] = heuristic_cost(
-                node_to_pose(node, lattice), request.goal_midstance, start_mid, request.cost
+                node_to_pose(node, lattice), request.goal_midstance, request.cost
             )
         h = h_memo[node]
         if best[0] is None or (h, value) < best[0]:
@@ -456,7 +455,7 @@ def test_a_cell_key_never_exceeds_the_key_of_an_edge_in_it(draw_args):
     lattice, goal, cost = request.lattice, request.goal_midstance, request.cost
 
     def h(child):
-        return heuristic_cost(node_to_pose(child, lattice), goal, search.start_mid, cost)
+        return heuristic_cost(node_to_pose(child, lattice), goal, cost)
 
     bounds = edge_bounds(lattice, request.expansion, cost, node.side, node.yaw_index)
     children = expand_node(node, lattice, request.expansion)

@@ -20,9 +20,16 @@ from footplan.geometry import (
     rectangle_polygon,
     wrap_angle,
 )
-from footplan.lattice import ExpansionParams, LatticeParams, Side, node_to_pose, pose_to_node
+from footplan.lattice import (
+    ExpansionParams,
+    LatticeParams,
+    Side,
+    feet_from_midstance,
+    node_to_pose,
+    pose_to_node,
+)
 from footplan.params import ParamsBundle
-from footplan.planner import PlannerRequest, PlanStatus, feet_from_midstance, plan
+from footplan.planner import PlannerRequest, PlanStatus, plan
 from footplan.snapping import FootPolygon, SnapResult, default_foot, snap_pose
 from footplan.toolkit.generators import generate_environment
 from footplan.validity import CheckerParams, validate_edge
@@ -460,6 +467,48 @@ def test_a_bridge_just_past_the_edge_of_standable_is_left_out(bridge):
 
 
 @st.composite
+def stone_bridges(draw):
+    """A request whose only bridge over a gap wider than the reach is one
+    stone at the area bound, flat or rolled, in reach of a start foot.
+
+    As with the fixed narrow stone, a sole centered on the stone's lattice
+    point overhangs the stone's long edges by half a BOUNDARY_SLACK in plan
+    view, so the clip keeps the sole's full width, and the stone's length
+    sets the foothold's support to (min_area_fraction - BOUNDARY_SLACK) x
+    (1 + jitter), jitter within +-1e-9. Only `_unstandable`'s perimeter
+    allowance keeps such a stone, and for a rolled one its normal z factor.
+    """
+    sole_length, sole_width = draw(st.floats(0.1, 0.18)), draw(st.floats(0.06, 0.12))
+    foot = FootPolygon(rectangle_polygon(sole_length, sole_width))
+    fraction = draw(st.floats(0.55, 0.9))
+    reach = draw(st.sampled_from((0.25, 0.3, 0.35, 0.4)))
+    roll = draw(st.one_of(st.just(0.0), st.floats(0.1, 0.6)))
+    jitter = draw(st.sampled_from((1e-9, 5e-10, -5e-10, -1e-9)))
+    length = (fraction - BOUNDARY_SLACK) * sole_length * (1.0 + jitter)
+    width = sole_width - BOUNDARY_SLACK / math.cos(roll)
+    # a lattice point within reach of a start foot at (0, +-0.1)
+    center = draw(st.integers(4, math.floor(math.sqrt(reach**2 - 0.01) / 0.05))) * 0.05
+    shift = draw(st.floats(-0.9, 0.9)) * (sole_length - length) / 2.0
+    # past the reach from the start platform's edge at 0.05, clear of a foot on the stone
+    near_edge = max(0.06 + reach, center + sole_length / 2.0 + 0.01)
+    return PlannerRequest(
+        env=Environment([
+            flat_region(0, 0.55, 0.6, center=(-0.225, 0.0)),
+            tilted_region(2, length, width, (center + shift, 0.0), roll),
+            flat_region(1, 0.6, 0.6, center=(near_edge + 0.3, 0.0)),
+        ]),
+        start_left=Pose2(0.0, 0.1, 0.0),
+        start_right=Pose2(0.0, -0.1, 0.0),
+        goal_midstance=Pose2(near_edge + 0.3, 0.0, 0.0),
+        timeout=30.0,
+        lattice=LatticeParams(xy_resolution=0.05, yaw_resolution=math.tau / 4),
+        expansion=replace(NARROW, min_width=0.0),
+        checker=CheckerParams(min_area_fraction=fraction, max_reach=reach),
+        foot=foot,
+    )
+
+
+@st.composite
 def region_worlds(draw):
     """A plan request along a chain of 1-4 regions: a start platform, then
     tilted, multi-piece or wall regions whose gaps lie near the step reach
@@ -468,7 +517,9 @@ def region_worlds(draw):
     edges and gaps often fall on the lattice, so footholds can sit right at
     an edge. Some regions are tilted, or small, to within 1e-9 of the most a
     foothold may be (`check_incline`) or the least it may keep
-    (`check_area`)."""
+    (`check_area`). One draw in five is a `stone_bridges` request instead."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(stone_bridges())
     sole_length, sole_width = draw(st.floats(0.1, 0.25)), draw(st.floats(0.06, 0.12))
     shift = 0.0 if draw(st.booleans()) else draw(st.floats(-0.3, 0.3)) * sole_length
     foot = FootPolygon(rectangle_polygon(sole_length, sole_width, center=(shift, 0.0)))
@@ -525,7 +576,7 @@ def region_worlds(draw):
     )
 
 
-@settings(max_examples=300)
+@settings(max_examples=375)
 @given(region_worlds())
 def test_region_check_rules_out_only_requests_the_search_cannot_solve(request):
     # the check's inputs exactly as `plan` builds them

@@ -17,7 +17,7 @@ from footplan.geometry import (
     rectangle_polygon,
     rotation_z,
 )
-from footplan.lattice import Side
+from footplan.lattice import Side, midstance_pose
 from footplan.snapping import SnapFailure, SnapResult, default_foot, snap_pose
 from footplan.validity import (
     CheckerParams,
@@ -28,7 +28,6 @@ from footplan.validity import (
     check_incline,
     check_step_geometry,
     check_step_over,
-    midstance_pose,
     validate_edge,
 )
 from footplan.world import Environment, PlanarRegion
