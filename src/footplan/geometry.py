@@ -1,4 +1,4 @@
-"""2D convex polygons, half-plane sets, planar poses and 3D rigid transforms.
+"""2D convex polygons, half-plane sets, plan-view boxes, poses and 3D rigid transforms.
 
 Everything is pure Python over float tuples: the polygons involved are tiny
 (4-8 vertices) and sit on the planner's hottest path, where tuple math beats
@@ -111,12 +111,6 @@ class ConvexPolygon2:
         except AttributeError:
             self._circumradius = max(math.hypot(x, y) for x, y in self.vertices)
             return self._circumradius
-
-    @property
-    def bounds(self) -> tuple[float, float, float, float]:
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
-        return min(xs), min(ys), max(xs), max(ys)
 
     def centroid(self) -> Point2:
         cx = cy = 0.0
@@ -233,13 +227,24 @@ class Pose2:
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))
 
 
-def transform_points(points, pose: Pose2) -> list[Point2]:
-    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
-    return [(pose.x + c * x - s * y, pose.y + s * x + c * y) for x, y in points]
-
-
 # ---------------------------------------------------------------------------
 # Separation / distance helpers (2D)
+
+Box2 = tuple[float, float, float, float]  # plan-view (x_lo, y_lo, x_hi, y_hi)
+
+
+def bounding_box(points) -> Box2:
+    """The plan-view box (x_lo, y_lo, x_hi, y_hi) of a non-empty point sequence."""
+    xs, ys = [p[0] for p in points], [p[1] for p in points]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def box_gap(a: Box2, b: Box2) -> tuple[float, float]:
+    """The gaps (gx, gy) between two boxes along x and y, 0.0 where they
+    overlap or touch. (0.0, 0.0) exactly when the closed boxes meet, and
+    hypot(gx, gy) is their distance, a lower bound on the distance between
+    anything inside them."""
+    return max(a[0] - b[2], b[0] - a[2], 0.0), max(a[1] - b[3], b[1] - a[3], 0.0)
 
 
 def _project_interval(verts, ax, ay):

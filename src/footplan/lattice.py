@@ -125,6 +125,12 @@ def from_frame(origin: Pose2, forward: float, left: float) -> tuple[float, float
     return origin.x + forward * cos_y - left * sin_y, origin.y + forward * sin_y + left * cos_y
 
 
+def transform_points(points, origin: Pose2) -> list[tuple[float, float]]:
+    """`from_frame` over each (forward, left) point, with one cos/sin per call."""
+    cos_y, sin_y = math.cos(origin.yaw), math.sin(origin.yaw)
+    return [(origin.x + cos_y * x - sin_y * y, origin.y + sin_y * x + cos_y * y) for x, y in points]
+
+
 def midstance_pose(parent: Pose2, child: Pose2) -> Pose2:
     """The pose halfway between two feet, headed halfway between them."""
     return Pose2(
@@ -181,13 +187,15 @@ def _expansion_offsets(
     sign = side.mirror_sign
     slack = EXPANSION_BOUND_SLACK
 
+    # The steps are consecutive integers, so the first yaw_count of them hold
+    # each yaw bin once, however wide the window.
     yaw_steps = sorted(
         int(sign) * k
         for k in range(
             math.ceil(expansion.min_yaw_delta / lattice.yaw_resolution - slack),
             math.floor(expansion.max_yaw_delta / lattice.yaw_resolution + slack) + 1,
         )
-    )
+    )[: lattice.yaw_count]
 
     # Every child lies within _scan_radius (plus slack) of the stance foot:
     # scan the square of cells around that disc, with a cell of margin.
@@ -215,8 +223,8 @@ def expand_node(
     Candidates come from scanning the square of cells around the disc of
     `_scan_radius`, keeping cells whose stance-frame offset satisfies the
     length, width, and Euclidean-reach bounds, then crossing with the allowed
-    yaw offsets. The result is sorted by stance-frame (dx, dy, dyaw), and
-    duplicate-free while the yaw window spans less than a full turn.
+    yaw offsets. The result is sorted by stance-frame (dx, dy, dyaw) and
+    duplicate-free.
     """
     count = lattice.yaw_count
     offsets = _expansion_offsets(lattice, expansion, parent.side, parent.yaw_index % count)

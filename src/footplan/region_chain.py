@@ -8,7 +8,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import BOUNDARY_SLACK, REACH_SLACK
-from .geometry import Point2, clip_area, convex_sets_distance, point_to_convex_distance
+from .geometry import Point2, box_gap, clip_area, convex_sets_distance, point_to_convex_distance
 from .lattice import FootstepNode, Side, node_to_pose
 from .snapping import SnapResult, align_to_normal
 from .validity import too_little_area, too_steep
@@ -111,8 +111,7 @@ def no_region_chain(
     def gap(item: _Site, site: _Site, cutoff: float = math.inf) -> float:
         """Distance between two sites' hulls, or a lower bound on it above
         `cutoff`."""
-        a, b = item.box, site.box
-        lower = math.hypot(max(a[0] - b[2], b[0] - a[2], 0.0), max(a[1] - b[3], b[1] - a[3], 0.0))
+        lower = math.hypot(*box_gap(item.box, site.box))
         if lower > cutoff:
             return lower
         return convex_sets_distance(item.hull, site.hull)

@@ -33,10 +33,9 @@ from .geometry import (
     point_in_polygon,
     polygons_overlap,
     rotation_z,
-    transform_points,
     yaw_of_rotation,
 )
-from .lattice import FootstepNode, LatticeParams, node_to_pose
+from .lattice import FootstepNode, LatticeParams, node_to_pose, to_frame, transform_points
 from .world import Environment, PlanarRegion, plane_height_at, regions_overlapping_disc
 
 
@@ -137,12 +136,9 @@ def align_to_normal(
     Results are cached per (yaw, normal).
     """
     nx, ny, nz = up_normal
-    cos_y, sin_y = math.cos(yaw), math.sin(yaw)
-    mx = cos_y * nx + sin_y * ny
-    my = -sin_y * nx + cos_y * ny
-    mz = nz
+    mx, my = to_frame(yaw, nx, ny)
     roll = -math.asin(max(-1.0, min(1.0, my)))
-    pitch = math.atan2(mx, mz)
+    pitch = math.atan2(mx, nz)
     cos_p, sin_p = math.cos(pitch), math.sin(pitch)
     cos_r, sin_r = math.cos(roll), math.sin(roll)
     tilt = (
@@ -206,10 +202,7 @@ def regions_near(
 ) -> tuple[PlanarRegion, ...]:
     """The regions a foot centered at (x, y) can touch at any yaw: those whose
     plan-view pieces come within its circumradius."""
-    return tuple(
-        env.region(rid)
-        for rid in regions_overlapping_disc(env, (x, y), foot.circumradius + 1e-9)
-    )
+    return tuple(regions_overlapping_disc(env, (x, y), foot.circumradius + 1e-9))
 
 
 def snap_pose(

@@ -6,9 +6,7 @@ inputs produce byte-identical documents.
 
 from __future__ import annotations
 
-import math
-
-from ..geometry import Pose2
+from ..geometry import Pose2, bounding_box
 from ..lattice import from_frame
 
 _BG = "#f7fafc"
@@ -64,19 +62,9 @@ def _pose_marker(canvas: _Canvas, pose: Pose2, color: str, label: str) -> list[s
 
 def render_svg(env, steps=(), start: Pose2 | None = None, goal: Pose2 | None = None) -> str:
     """Render regions (height-colored), footholds, and start/goal markers."""
-    bounds = [math.inf, math.inf, -math.inf, -math.inf]
-    for region in env.regions:
-        x0, y0, x1, y1 = region.bounds_xy
-        bounds = [min(bounds[0], x0), min(bounds[1], y0), max(bounds[2], x1), max(bounds[3], y1)]
-    for pose in (start, goal):
-        if pose is not None:
-            bounds = [
-                min(bounds[0], pose.x), min(bounds[1], pose.y),
-                max(bounds[2], pose.x), max(bounds[3], pose.y),
-            ]
-    if not env.regions and start is None and goal is None:
-        bounds = [0.0, 0.0, 1.0, 1.0]
-    canvas = _Canvas(bounds)
+    corners = [c for r in env.regions for c in (r.bounds_xy[:2], r.bounds_xy[2:])]
+    corners += [(pose.x, pose.y) for pose in (start, goal) if pose is not None]
+    canvas = _Canvas(bounding_box(corners) if corners else (0.0, 0.0, 1.0, 1.0))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_fmt(canvas.width)} '

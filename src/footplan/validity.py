@@ -16,12 +16,13 @@ from itertools import chain
 from .constants import BOUNDARY_SLACK
 from .geometry import (
     ConvexPolygon2,
+    bounding_box,
+    box_gap,
     convex_sets_distance,
     polygons_overlap,
     rectangle_polygon,
-    transform_points,
 )
-from .lattice import Side, from_frame, midstance_pose, to_frame
+from .lattice import Side, from_frame, midstance_pose, to_frame, transform_points
 from .snapping import FootPolygon, SnapFailure, SnapResult
 from .world import Environment, plane_height_at
 
@@ -175,10 +176,7 @@ def check_cliff_clearance(
 ) -> RejectionReason | None:
     foot_z = child_snap.z
     outline = child_snap.sole
-    ox_lo = min(p[0] for p in outline)
-    oy_lo = min(p[1] for p in outline)
-    ox_hi = max(p[0] for p in outline)
-    oy_hi = max(p[1] for p in outline)
+    outline_box = bounding_box(outline)
     limit = params.cliff_clearance - BOUNDARY_SLACK
     for region in env.regions:
         height = plane_height_at(region, child_snap.x, child_snap.y)
@@ -187,8 +185,7 @@ def check_cliff_clearance(
         for piece, box in zip(region.projected_pieces, region.piece_bounds_xy):
             # Box separation lower-bounds the exact distance, so a clear box
             # gap can skip the segment-pair scan without changing the verdict.
-            gx = max(box[0] - ox_hi, ox_lo - box[2], 0.0)
-            gy = max(box[1] - oy_hi, oy_lo - box[3], 0.0)
+            gx, gy = box_gap(box, outline_box)
             if gx * gx + gy * gy >= limit * limit:
                 continue
             if convex_sets_distance(outline, piece) < limit:
@@ -238,13 +235,9 @@ def _regions_in_slab(env: Environment, z_lo: float, z_hi: float) -> list:
 def _prism_hits_regions(regions, corners, z_lo, z_hi, face_axes, edge_dirs) -> bool:
     """Whether the prism `corners` x [z_lo, z_hi] touches a piece of any of
     `regions`; a region whose plan-view box misses the prism's is skipped."""
-    x_lo = min(c[0] for c in corners)
-    y_lo = min(c[1] for c in corners)
-    x_hi = max(c[0] for c in corners)
-    y_hi = max(c[1] for c in corners)
+    box = bounding_box(corners)
     for region in regions:
-        rx0, ry0, rx1, ry1 = region.bounds_xy
-        if rx1 < x_lo or rx0 > x_hi or ry1 < y_lo or ry0 > y_hi:
+        if box_gap(region.bounds_xy, box) != (0.0, 0.0):
             continue
         for solid in region.piece_solids:
             if _prism_hits_piece(
@@ -274,7 +267,7 @@ def check_step_over(
     else:
         direction = ((bx - ax) / length, (by - ay) / length)
     perp = (-direction[1], direction[0])
-    _, min_w, _, max_w = foot.sole.bounds
+    _, min_w, _, max_w = bounding_box(foot.sole.vertices)
     half = (max_w - min_w) / 2.0
     corners = [
         (ax + perp[0] * half, ay + perp[1] * half),

@@ -8,9 +8,12 @@ from typing import NamedTuple
 
 from .constants import NEAR_VERTICAL_NZ, PIECE_OVERLAP_LIMIT
 from .geometry import (
+    Box2,
     ConvexPolygon2,
     GeometryError,
     RigidTransform3,
+    bounding_box,
+    box_gap,
     clip_area,
     clip_vertices,
     convex_hull,
@@ -95,24 +98,15 @@ class PlanarRegion:
             if r22 < 0:
                 xy = xy[::-1]  # keep projected winding counter-clockwise
             projected.append(tuple(xy))
-            piece_boxes.append(
-                (
-                    min(p[0] for p in xy),
-                    min(p[1] for p in xy),
-                    max(p[0] for p in xy),
-                    max(p[1] for p in xy),
-                )
-            )
+            piece_boxes.append(bounding_box(xy))
         self.piece_solids: tuple[PieceSolid, ...] = tuple(solids)
         self.projected_pieces: tuple[tuple, ...] = tuple(projected)
-        self.piece_bounds_xy: tuple[tuple[float, float, float, float], ...] = tuple(piece_boxes)
+        self.piece_bounds_xy: tuple[Box2, ...] = tuple(piece_boxes)
         self.z_min: float = min(lo for lo, _ in zs)
         self.z_max: float = max(hi for _, hi in zs)
 
         all_xy = [p for piece in projected for p in piece]
-        xs = [p[0] for p in all_xy]
-        ys = [p[1] for p in all_xy]
-        self.bounds_xy: tuple[float, float, float, float] = (min(xs), min(ys), max(xs), max(ys))
+        self.bounds_xy: Box2 = bounding_box(all_xy)
         self.hull_xy: tuple = convex_hull(all_xy)
 
     def __repr__(self):
@@ -143,7 +137,7 @@ class Environment:
             a = regions[i]
             for j in range(i + 1, len(regions)):
                 b = regions[j]
-                if not _boxes_touch(a.bounds_xy, b.bounds_xy):
+                if box_gap(a.bounds_xy, b.bounds_xy) != (0.0, 0.0):
                     continue
                 if a.z_min - 0.02 > b.z_max or b.z_min - 0.02 > a.z_max:
                     continue
@@ -174,27 +168,23 @@ class Environment:
         return Environment(tuple(r for r in self.regions if r.region_id != region_id))
 
 
-def _boxes_touch(a, b) -> bool:
-    return not (a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1])
-
-
-def regions_overlapping_disc(env: Environment, center, radius: float) -> list[int]:
-    """Ids of regions whose plan-view pieces intersect the closed disc.
+def regions_overlapping_disc(env: Environment, center, radius: float) -> list[PlanarRegion]:
+    """The regions whose plan-view pieces intersect the closed disc, in
+    `env.regions` order.
 
     Bounding boxes prefilter; surviving regions get an exact point-to-piece
     distance test, so the result is exact.
     """
     cx, cy = float(center[0]), float(center[1])
+    point = (cx, cy, cx, cy)
     out = []
     for region in env.regions:
-        x0, y0, x1, y1 = region.bounds_xy
-        dx = max(x0 - cx, 0.0, cx - x1)
-        dy = max(y0 - cy, 0.0, cy - y1)
+        dx, dy = box_gap(region.bounds_xy, point)
         if dx * dx + dy * dy > radius * radius:
             continue
         for piece in region.projected_pieces:
             if point_to_convex_distance((cx, cy), piece) <= radius:
-                out.append(region.region_id)
+                out.append(region)
                 break
     return out
 

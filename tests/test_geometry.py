@@ -10,12 +10,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from footplan.geometry import (
     ConvexPolygon2,
     GeometryError,
     Pose2,
     RigidTransform3,
+    bounding_box,
+    box_gap,
     clip_area,
     clip_vertices,
     convex_hull,
@@ -27,10 +31,10 @@ from footplan.geometry import (
     rectangle_polygon,
     rotation_z,
     segment_segment_distance,
-    transform_points,
     wrap_angle,
     yaw_of_rotation,
 )
+from footplan.lattice import transform_points
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +113,7 @@ def random_convex_polygon(rng, radius=1.0, sides=6) -> ConvexPolygon2:
 def test_rectangle_area_and_bounds():
     rect = rectangle_polygon(0.22, 0.11)
     assert rect.area == pytest.approx(0.22 * 0.11, abs=1e-15)
-    assert rect.bounds == pytest.approx((-0.11, -0.055, 0.11, 0.055))
+    assert bounding_box(rect.vertices) == pytest.approx((-0.11, -0.055, 0.11, 0.055))
     assert rect.centroid() == pytest.approx((0.0, 0.0), abs=1e-15)
 
 
@@ -351,6 +355,68 @@ def test_point_to_convex_distance_dense_oracle():
             )
             assert got == pytest.approx(best, abs=1e-12)
     assert inside_seen >= 10
+
+
+# ---------------------------------------------------------------------------
+# Plan-view boxes
+
+coordinates = st.floats(-10.0, 10.0)
+points_2d = st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=6)
+
+
+def interval_gap(lo_a, hi_a, lo_b, hi_b) -> float:
+    """Distance between the closed intervals [lo_a, hi_a] and [lo_b, hi_b]."""
+    if hi_a < lo_b:
+        return lo_b - hi_a
+    if hi_b < lo_a:
+        return lo_a - hi_b
+    return 0.0
+
+
+@st.composite
+def box_pairs(draw):
+    """A box and a second box that, on each axis independently, lies inside
+    the first's interval, touches it from either side, lies apart on either
+    side or is drawn freely; either box may be a point or a segment, and
+    either may come first."""
+    a = bounding_box(draw(points_2d))
+    width = st.sampled_from((0.0,)) | st.floats(0.0, 5.0)
+    gap = st.floats(1e-6, 5.0)
+    interval = []
+    for lo, hi in ((a[0], a[2]), (a[1], a[3])):
+        relation = draw(st.sampled_from(("inside", "touch", "apart", "free")))
+        after = draw(st.booleans())
+        if relation == "inside":
+            ends = sorted(draw(st.floats(lo, hi)) for _ in range(2))
+        elif relation == "free":
+            ends = sorted((draw(coordinates), draw(coordinates)))
+        else:
+            offset = 0.0 if relation == "touch" else draw(gap)
+            w = draw(width)
+            ends = [hi + offset, hi + offset + w] if after else [lo - offset - w, lo - offset]
+        interval.append(ends)
+    b = (interval[0][0], interval[1][0], interval[0][1], interval[1][1])
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@settings(max_examples=200)
+@given(points_2d)
+def test_bounding_box_is_the_tightest_box_around_the_points(points):
+    x_lo, y_lo, x_hi, y_hi = bounding_box(points)
+    assert all(x_lo <= x <= x_hi and y_lo <= y <= y_hi for x, y in points)
+    xs, ys = {x for x, _ in points}, {y for _, y in points}
+    assert x_lo in xs and x_hi in xs and y_lo in ys and y_hi in ys
+
+
+@settings(max_examples=400)
+@given(box_pairs())
+def test_box_gap_is_the_gap_between_the_intervals_on_each_axis(pair):
+    a, b = pair
+    gaps = box_gap(a, b)
+    assert gaps == (interval_gap(a[0], a[2], b[0], b[2]), interval_gap(a[1], a[3], b[1], b[3]))
+    assert box_gap(b, a) == gaps
+    meet = max(a[0], b[0]) <= min(a[2], b[2]) and max(a[1], b[1]) <= min(a[3], b[3])
+    assert (gaps == (0.0, 0.0)) == meet
 
 
 # ---------------------------------------------------------------------------

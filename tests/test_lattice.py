@@ -27,7 +27,10 @@ def oracle_children(parent, lattice, expansion):
     mapped to that offset (dx, dy, dyaw).
 
     Scans a grid square generously wider than the reach cap, so nothing the
-    cached implementation could emit lies outside the scan.
+    cached implementation could emit lies outside the scan, and yaw-index
+    changes over whole turns beyond the window. A window of a full turn or
+    more admits a yaw bin at several changes; each bin counts once, at the
+    first change that admits it.
     """
     res = lattice.xy_resolution
     count = lattice.yaw_count
@@ -36,6 +39,13 @@ def oracle_children(parent, lattice, expansion):
     cos_y, sin_y = math.cos(yaw), math.sin(yaw)
     span = math.ceil(expansion.max_reach / res) + 3
     tol = 1e-9
+    widest = max(abs(expansion.min_yaw_delta), abs(expansion.max_yaw_delta))
+    turns = math.ceil(widest / math.tau) + 1
+    first_change = {}
+    for k in range(-turns * count, turns * count + 1):
+        delta = sign * k * lattice.yaw_resolution
+        if expansion.min_yaw_delta - tol <= delta <= expansion.max_yaw_delta + tol:
+            first_change.setdefault(k % count, k)
     kids = {}
     for jx in range(-span, span + 1):
         for jy in range(-span, span + 1):
@@ -49,10 +59,7 @@ def oracle_children(parent, lattice, expansion):
                 continue
             if math.hypot(dx, dy) > expansion.max_reach + tol:
                 continue
-            for k in range(-count, count + 1):
-                delta = sign * k * lattice.yaw_resolution
-                if not (expansion.min_yaw_delta - tol <= delta <= expansion.max_yaw_delta + tol):
-                    continue
+            for k in first_change.values():
                 child = FootstepNode(
                     parent.x_index + jx,
                     parent.y_index + jy,
@@ -170,7 +177,9 @@ def lattices_and_boxes(draw):
     """A lattice and a reach box: lengths and widths of either sign, often on
     the lattice to within half the slack, a reach below or above the box's
     farthest corner, and a yaw window that is empty (between two bins), full
-    (every bin once) or drawn (at least a bin wide, under a full turn)."""
+    (every bin once), drawn (at least a bin wide, under a full turn), exactly
+    a full turn (both ends on one bin when they lie on bins) or beyond a full
+    turn."""
     lattice = LatticeParams(draw(st.floats(0.02, 0.125)), math.tau / draw(st.integers(1, 72)))
     res = lattice.xy_resolution
 
@@ -187,14 +196,20 @@ def lattices_and_boxes(draw):
     corner = max(math.hypot(length, width) for length in lengths for width in widths)
     reach = bound(0.0, corner) if draw(st.booleans()) else corner * draw(st.floats(0.5, 1.5))
     reach = max(0.01, reach)
-    window = draw(st.sampled_from(("drawn", "empty", "full")))
+    window = draw(st.sampled_from(("drawn", "empty", "full", "turn", "beyond")))
     step = lattice.yaw_resolution
     if window == "empty":
         yaw_lo = yaw_hi = step * (draw(st.integers(-3, 3)) + 0.5)
     elif window == "full":
         yaw_lo, yaw_hi = -math.pi + step / 2.0, math.pi
+    elif window == "turn":
+        yaw_lo = draw(st.sampled_from((-math.pi, 0.0)) | st.floats(-math.pi, 0.0))
+        yaw_hi = yaw_lo + math.tau
+    elif window == "beyond":
+        yaw_lo = draw(st.floats(-math.tau, 0.0))
+        yaw_hi = yaw_lo + draw(st.floats(math.tau, 2.0 * math.tau))
     else:
-        yaw_lo = draw(st.floats(-math.pi, 0.0))  # the oracle scans yaw changes within a turn
+        yaw_lo = draw(st.floats(-math.pi, 0.0))
         yaw_hi = yaw_lo + draw(st.floats(min(step, math.pi), max(math.tau - step, math.pi)))
     expansion = ExpansionParams(
         min_length=lengths[0],
@@ -208,13 +223,14 @@ def lattices_and_boxes(draw):
     return lattice, expansion
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(lattices_and_boxes(), st.sampled_from(Side), st.integers(0, 71))
 def test_expansion_matches_the_oracle_in_stance_frame_order(case, side, yaw_index):
     lattice, expansion = case
     parent = FootstepNode(3, -2, yaw_index % lattice.yaw_count, side)
     children = expand_node(parent, lattice, expansion)
     oracle = oracle_children(parent, lattice, expansion)
+    assert len(children) == len(set(children))
     assert set(children) == oracle.keys()
     assert children == sorted(oracle, key=oracle.get)
 

@@ -14,6 +14,7 @@ from footplan.geometry import (
     GeometryError,
     Pose2,
     RigidTransform3,
+    bounding_box,
     rectangle_polygon,
     rotation_z,
 )
@@ -370,7 +371,7 @@ def oracle_step_over_hits(parent_snap, child_snap, env, params, foot) -> bool:
     length = math.hypot(bx - ax, by - ay)
     direction = (1.0, 0.0) if length < 1e-12 else ((bx - ax) / length, (by - ay) / length)
     perp = (-direction[1], direction[0])
-    _, min_w, _, max_w = foot.sole.bounds
+    _, min_w, _, max_w = bounding_box(foot.sole.vertices)
     half = (max_w - min_w) / 2.0
     corners = [
         (ax + perp[0] * half, ay + perp[1] * half),

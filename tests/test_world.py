@@ -178,7 +178,7 @@ def test_disc_query_matches_brute_force():
         radius = rng.uniform(0.05, 0.8)
         got = regions_overlapping_disc(env, center, radius)
         expected = [
-            r.region_id
+            r
             for r in env.regions
             if any(
                 point_to_convex_distance(center, piece) <= radius
