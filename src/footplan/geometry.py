@@ -290,29 +290,8 @@ def point_segment_distance(p, a, b) -> float:
     return math.hypot(px - (ax + t * ex), py - (ay + t * ey))
 
 
-def segment_segment_distance(a0, a1, b0, b1) -> float:
-    if _segments_intersect(a0, a1, b0, b1):
-        return 0.0
-    return min(
-        point_segment_distance(a0, b0, b1),
-        point_segment_distance(a1, b0, b1),
-        point_segment_distance(b0, a0, a1),
-        point_segment_distance(b1, a0, a1),
-    )
-
-
 def _orient(a, b, c) -> float:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def _segments_intersect(a0, a1, b0, b1) -> bool:
-    d1 = _orient(b0, b1, a0)
-    d2 = _orient(b0, b1, a1)
-    d3 = _orient(a0, a1, b0)
-    d4 = _orient(a0, a1, b1)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return True
-    return False
 
 
 def convex_hull(points) -> tuple[Point2, ...]:
@@ -339,32 +318,20 @@ def convex_hull(points) -> tuple[Point2, ...]:
 def convex_sets_distance(verts_a, verts_b) -> float:
     """Distance between two convex vertex sets (0 when they overlap).
 
-    Either argument may be degenerate (collinear points); the test walks the
-    closed vertex chains, so segments cover every boundary, and a degenerate
-    set inside the other is caught by testing one of its points.
+    Two disjoint convex sets are nearest at a vertex of one of them, so the
+    distance is the least vertex-to-set distance in either direction. The
+    overlap test is the separating-axis test over both sets' edge normals,
+    which is complete when at most one set is degenerate (a point or a
+    segment), as every caller's pair is; with two degenerate sets it may
+    miss a separating axis, and the answer can then only read low (in the
+    region check that only adds links).
     """
-    if len(verts_a) >= 3 and len(verts_b) >= 3:
-        if polygons_overlap(verts_a, verts_b, slack=0.0):
-            return 0.0
-    elif (
-        point_to_convex_distance(verts_a[0], verts_b) == 0.0
-        or point_to_convex_distance(verts_b[0], verts_a) == 0.0
-    ):
+    if polygons_overlap(verts_a, verts_b, slack=0.0):
         return 0.0
-    best = math.inf
-    na, nb = len(verts_a), len(verts_b)
-    for i in range(na):
-        a0 = verts_a[i]
-        a1 = verts_a[(i + 1) % na]
-        for j in range(nb):
-            b0 = verts_b[j]
-            b1 = verts_b[(j + 1) % nb]
-            d = segment_segment_distance(a0, a1, b0, b1)
-            if d < best:
-                best = d
-                if best == 0.0:
-                    return 0.0
-    return best
+    return min(
+        min(point_to_convex_distance(p, verts_b) for p in verts_a),
+        min(point_to_convex_distance(p, verts_a) for p in verts_b),
+    )
 
 
 def point_to_convex_distance(point, verts) -> float:

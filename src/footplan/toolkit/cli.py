@@ -8,6 +8,7 @@ FSP_STABLE_TIMING=1 zeroes reported durations so outputs are reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -213,7 +214,9 @@ def _cmd_anytime(args) -> int:
     return 2
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on first use and kept for the process."""
     parser = _Parser(prog="footplan", description="Footstep planning toolkit")
     sub = parser.add_subparsers(dest="command", metavar="command")
 

@@ -15,7 +15,7 @@ from ..geometry import GeometryError, Pose2
 from ..params import ParamsBundle, ParamsError, load_params
 from ..planner import PlanStatus, SearchMemo, plan
 from ..reading import InputError, decoded, integer, number, pose
-from ..world import Environment, PlanarRegion, WorldLoadError, load_environment
+from ..world import Environment, PlanarRegion, WorldLoadError, load_environment, load_region
 
 log = logging.getLogger("footplan.scenario")
 
@@ -54,11 +54,6 @@ def _object_of(doc: dict, key: str) -> dict:
     return value
 
 
-def _region_of(doc: dict) -> PlanarRegion:
-    loaded = load_environment({"regions": [doc]})
-    return loaded.regions[0]
-
-
 def load_scenario_script(document) -> ScenarioScript:
     document = decoded(document, ScenarioError)
     if not isinstance(document, dict):
@@ -85,7 +80,7 @@ def load_scenario_script(document) -> ScenarioScript:
             if "region" not in entry:
                 raise ScenarioError(f"event {idx}: add-region needs a region object")
             try:
-                region = _region_of(entry["region"])
+                region = load_region(entry["region"], "region")
             except (WorldLoadError, GeometryError) as exc:
                 raise ScenarioError(f"event {idx}: {exc}") from None
             events.append(TimelineEvent(time, action, region=region))
@@ -124,6 +119,8 @@ def _apply_events(env: Environment, events, now: float, cursor: int):
     while cursor < len(events) and events[cursor].time <= now + 1e-12:
         event = events[cursor]
         if event.action == "add-region":
+            if event.region.region_id in env:
+                raise ScenarioError(f"add-region: id {event.region.region_id} already present")
             env = env.with_region(event.region)
         else:
             if event.region_id not in env:

@@ -184,7 +184,7 @@ def check_cliff_clearance(
             continue
         for piece, box in zip(region.projected_pieces, region.piece_bounds_xy):
             # Box separation lower-bounds the exact distance, so a clear box
-            # gap can skip the segment-pair scan without changing the verdict.
+            # gap can skip `convex_sets_distance` without changing the verdict.
             gx, gy = box_gap(box, outline_box)
             if gx * gx + gy * gy >= limit * limit:
                 continue

@@ -213,30 +213,35 @@ def load_environment(document) -> Environment:
     if not isinstance(regions_doc, list):
         raise WorldLoadError('"regions" must be a list')
 
-    regions = []
-    for idx, entry in enumerate(regions_doc):
-        if not isinstance(entry, dict):
-            raise WorldLoadError(f"region entry {idx} is not an object")
-        region_id = integer(entry.get("id"), f"region entry {idx}: id", WorldLoadError)
-        label = f"region {region_id}"
-        translation = numbers(entry.get("translation"), 3, f"{label}: translation", WorldLoadError)
-        rotation = numbers(entry.get("rotation"), 9, f"{label}: rotation", WorldLoadError)
+    return Environment(
+        load_region(entry, f"region entry {idx}") for idx, entry in enumerate(regions_doc)
+    )
+
+
+def load_region(entry, where: str) -> PlanarRegion:
+    """Parse one region object; `where` names it in the errors that come
+    before its id is known."""
+    if not isinstance(entry, dict):
+        raise WorldLoadError(f"{where} is not an object")
+    region_id = integer(entry.get("id"), f"{where}: id", WorldLoadError)
+    label = f"region {region_id}"
+    translation = numbers(entry.get("translation"), 3, f"{label}: translation", WorldLoadError)
+    rotation = numbers(entry.get("rotation"), 9, f"{label}: rotation", WorldLoadError)
+    try:
+        transform = RigidTransform3((rotation[0:3], rotation[3:6], rotation[6:9]), translation)
+    except GeometryError as exc:
+        raise WorldLoadError(f"{label}: {exc}") from None
+    pieces_doc = entry.get("pieces")
+    if not isinstance(pieces_doc, list) or not pieces_doc:
+        raise WorldLoadError(f"{label}: pieces must be a non-empty list")
+    pieces = []
+    for pidx, piece_doc in enumerate(pieces_doc):
+        what = f"{label}: piece {pidx}"
         try:
-            transform = RigidTransform3((rotation[0:3], rotation[3:6], rotation[6:9]), translation)
+            pieces.append(ConvexPolygon2(points(piece_doc, what, WorldLoadError)))
         except GeometryError as exc:
-            raise WorldLoadError(f"{label}: {exc}") from None
-        pieces_doc = entry.get("pieces")
-        if not isinstance(pieces_doc, list) or not pieces_doc:
-            raise WorldLoadError(f"{label}: pieces must be a non-empty list")
-        pieces = []
-        for pidx, piece_doc in enumerate(pieces_doc):
-            what = f"{label}: piece {pidx}"
-            try:
-                pieces.append(ConvexPolygon2(points(piece_doc, what, WorldLoadError)))
-            except GeometryError as exc:
-                raise WorldLoadError(f"{what}: {exc}") from None
-        regions.append(PlanarRegion(region_id, transform, pieces))
-    return Environment(regions)
+            raise WorldLoadError(f"{what}: {exc}") from None
+    return PlanarRegion(region_id, transform, pieces)
 
 
 def environment_to_dict(env: Environment) -> dict:

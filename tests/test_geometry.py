@@ -7,12 +7,14 @@ trusted anywhere else in the suite.
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from footplan.constants import BOUNDARY_SLACK
 from footplan.geometry import (
     ConvexPolygon2,
     GeometryError,
@@ -30,7 +32,6 @@ from footplan.geometry import (
     polygons_overlap,
     rectangle_polygon,
     rotation_z,
-    segment_segment_distance,
     wrap_angle,
     yaw_of_rotation,
 )
@@ -104,6 +105,49 @@ def random_convex_polygon(rng, radius=1.0, sides=6) -> ConvexPolygon2:
         return ConvexPolygon2(verts)
     except GeometryError:
         return random_convex_polygon(rng, radius, sides)
+
+
+def _orient(a, b, c) -> float:
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def segments_intersect(a0, a1, b0, b1) -> bool:
+    d1 = _orient(b0, b1, a0)
+    d2 = _orient(b0, b1, a1)
+    d3 = _orient(a0, a1, b0)
+    d4 = _orient(a0, a1, b1)
+    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+
+
+def segment_segment_distance(a0, a1, b0, b1) -> float:
+    if segments_intersect(a0, a1, b0, b1):
+        return 0.0
+    return min(
+        point_segment_distance(a0, b0, b1),
+        point_segment_distance(a1, b0, b1),
+        point_segment_distance(b0, a0, a1),
+        point_segment_distance(b1, a0, a1),
+    )
+
+
+def edge_pair_distance(verts_a, verts_b) -> float:
+    """Distance between two convex vertex sets by every pair of their closed
+    chains' edges: 0 when the sets overlap, one holds a point of the other,
+    or two edges cross."""
+    if len(verts_a) >= 3 and len(verts_b) >= 3:
+        if polygons_overlap(verts_a, verts_b, slack=0.0):
+            return 0.0
+    elif (
+        point_to_convex_distance(verts_a[0], verts_b) == 0.0
+        or point_to_convex_distance(verts_b[0], verts_a) == 0.0
+    ):
+        return 0.0
+    na, nb = len(verts_a), len(verts_b)
+    return min(
+        segment_segment_distance(verts_a[i], verts_a[(i + 1) % na], verts_b[j], verts_b[(j + 1) % nb])
+        for i in range(na)
+        for j in range(nb)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +339,60 @@ def test_segment_distances_hand_values():
     assert segment_segment_distance((0, 0), (1, 0), (0, 1), (1, 1)) == pytest.approx(1.0)
     # crossing segments touch
     assert segment_segment_distance((0, 0), (1, 1), (0, 1), (1, 0)) == 0.0
+
+
+def test_convex_sets_distance_matches_the_edge_pair_oracle():
+    """Bit for bit against every edge pair, on pairs drawn apart, touching at
+    a vertex, overlapping, a single vertex or one edge against a polygon, and
+    a segment crossing a polygon with both ends outside it, deep or cutting a
+    corner by less than BOUNDARY_SLACK."""
+    rng = random.Random(47)
+    kinds = Counter()
+    for _ in range(600):
+        a = random_convex_polygon(rng).vertices
+        b = random_convex_polygon(rng).vertices
+        angle = rng.uniform(0.0, math.tau)
+        far = rng.uniform(3.5, 5.0)  # beyond both polygons' reach
+        apart = tuple((x + far * math.cos(angle), y + far * math.sin(angle)) for x, y in b)
+        # the point reflection through a vertex meets `a` at that vertex only
+        vx, vy = a[rng.randrange(len(a))]
+        touching = tuple((2.0 * vx - x, 2.0 * vy - y) for x, y in a)
+        i = rng.randrange(len(b))
+        draws = {
+            "apart": apart,
+            "touching": touching,
+            "overlapping": b,
+            "vertex": apart[i : i + 1],
+            "vertex inside": b[i : i + 1],
+            "edge": (apart[i], apart[(i + 1) % len(b)]),
+            "edge near": (b[i], b[(i + 1) % len(b)]),
+        }
+        cx, cy = ConvexPolygon2(a).centroid()
+        dx, dy = math.cos(angle), math.sin(angle)
+        draws["crossing"] = ((cx - 3.0 * dx, cy - 3.0 * dy), (cx + 3.0 * dx, cy + 3.0 * dy))
+        # a segment perpendicular to a vertex's bisector, cutting that corner
+        # 0.5 BOUNDARY_SLACK deep, ends 1 m either side
+        j = rng.randrange(len(a))
+        (px, py), (qx, qy), (rx, ry) = a[j - 1], a[j], a[(j + 1) % len(a)]
+        ux, uy = (px - qx) / math.dist(a[j - 1], a[j]), (py - qy) / math.dist(a[j - 1], a[j])
+        wx, wy = (rx - qx) / math.dist(a[j], (rx, ry)), (ry - qy) / math.dist(a[j], (rx, ry))
+        nx, ny = ux + wx, uy + wy
+        scale = math.hypot(nx, ny)
+        nx, ny = nx / scale, ny / scale
+        mx, my = qx + 0.5 * BOUNDARY_SLACK * nx, qy + 0.5 * BOUNDARY_SLACK * ny
+        draws["corner cut"] = ((mx - ny, my + nx), (mx + ny, my - nx))
+        for kind, other in draws.items():
+            for first, second in ((a, other), (other, a)):
+                got = convex_sets_distance(first, second)
+                assert got == edge_pair_distance(first, second), (kind, first, second)
+            if kind in ("crossing", "corner cut"):
+                assert all(point_to_convex_distance(p, a) > 0.0 for p in other)
+                assert got == 0.0
+            kinds[kind, got == 0.0] += 1
+    assert kinds["apart", False] == kinds["touching", True] == 600
+    assert kinds["vertex", False] == kinds["edge", False] == 600
+    assert kinds["overlapping", True] >= 400 and kinds["overlapping", False] >= 10
+    assert kinds["vertex inside", True] >= 50 and kinds["edge near", True] >= 100
 
 
 def test_convex_sets_distance_known_gaps():

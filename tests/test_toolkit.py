@@ -234,6 +234,29 @@ def test_scenario_script_validation():
     for period in (float("nan"), float("inf"), 0.0, -1.0, "0.5", True):
         with pytest.raises(ScenarioError, match="replan_period"):
             load_scenario_script(dict(good, replan_period=period))
+    # an added region's errors name the event's region, not a world's entry
+    for region, message in (({"id": "x"}, "id must be an integer, got 'x'"), ([], "is not an object")):
+        events = [
+            {"time": 0.5, "action": "remove-region", "id": 0},
+            {"time": 1, "action": "add-region", "region": region},
+        ]
+        with pytest.raises(ScenarioError) as info:
+            load_scenario_script(scenario_doc(env, 0.0, (0.5, 0.0, 0.0), events))
+        assert str(info.value) == f"event 1: region{':' if region else ''} {message}"
+
+
+def test_scenario_adding_a_present_region_fails_at_runtime(tmp_path, capsys):
+    env = Environment([flat_region(0, 2.0, 2.0)])
+    block = environment_to_dict(Environment([flat_region(0, 0.2, 0.2, center=(3.0, 0.0))]))
+    events = [{"time": 0.0, "action": "add-region", "region": block["regions"][0]}]
+    doc = scenario_doc(env, 0.0, (0.5, 0.0, 0.0), events)
+    with pytest.raises(ScenarioError) as info:
+        run_anytime_scenario(load_scenario_script(doc))
+    assert str(info.value) == "add-region: id 0 already present"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["anytime", "--scenario", str(path), "--out", str(tmp_path / "t.json")]) == 4
+    assert capsys.readouterr().err == f"error: scenario file {path}: add-region: id 0 already present\n"
 
 
 def test_scenario_removing_a_missing_region_fails_at_runtime():
@@ -410,6 +433,26 @@ def test_cli_gen_writes_deterministic_environments(tmp_path, stable_env):
     assert cli_main(["gen", "--kind", "cinder-field", "--seed", "7", "--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert "regions" in json.loads(out_a.read_text())
+
+
+def test_two_cli_calls_build_one_parser(tmp_path, stable_env, monkeypatch):
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.prog == "footplan":
+                built.append(self)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    cli.build_parser.cache_clear()
+    try:
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            assert cli_main(["gen", "--kind", "flat", "--seed", "1", "--out", str(out)]) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1
 
 
 def test_cli_plan_stdout_and_file_agree(tmp_path, stable_env, capsys):
