@@ -363,23 +363,24 @@ def test_convex_sets_distance_matches_the_edge_pair_oracle():
             "touching": touching,
             "overlapping": b,
             "vertex": apart[i : i + 1],
-            "vertex inside": b[i : i + 1],
+            "vertex near": b[i : i + 1],
             "edge": (apart[i], apart[(i + 1) % len(b)]),
             "edge near": (b[i], b[(i + 1) % len(b)]),
         }
         cx, cy = ConvexPolygon2(a).centroid()
         dx, dy = math.cos(angle), math.sin(angle)
         draws["crossing"] = ((cx - 3.0 * dx, cy - 3.0 * dy), (cx + 3.0 * dx, cy + 3.0 * dy))
-        # a segment perpendicular to a vertex's bisector, cutting that corner
+        # a segment across a vertex's bisector, cutting that corner
         # 0.5 BOUNDARY_SLACK deep, ends 1 m either side
         j = rng.randrange(len(a))
-        (px, py), (qx, qy), (rx, ry) = a[j - 1], a[j], a[(j + 1) % len(a)]
-        ux, uy = (px - qx) / math.dist(a[j - 1], a[j]), (py - qy) / math.dist(a[j - 1], a[j])
-        wx, wy = (rx - qx) / math.dist(a[j], (rx, ry)), (ry - qy) / math.dist(a[j], (rx, ry))
-        nx, ny = ux + wx, uy + wy
-        scale = math.hypot(nx, ny)
-        nx, ny = nx / scale, ny / scale
-        mx, my = qx + 0.5 * BOUNDARY_SLACK * nx, qy + 0.5 * BOUNDARY_SLACK * ny
+        q = a[j]
+        bx = by = 0.0
+        for p in (a[j - 1], a[(j + 1) % len(a)]):  # unit vectors along both sides
+            bx += (p[0] - q[0]) / math.dist(p, q)
+            by += (p[1] - q[1]) / math.dist(p, q)
+        scale = math.hypot(bx, by)
+        nx, ny = bx / scale, by / scale
+        mx, my = q[0] + 0.5 * BOUNDARY_SLACK * nx, q[1] + 0.5 * BOUNDARY_SLACK * ny
         draws["corner cut"] = ((mx - ny, my + nx), (mx + ny, my - nx))
         for kind, other in draws.items():
             for first, second in ((a, other), (other, a)):
@@ -392,7 +393,7 @@ def test_convex_sets_distance_matches_the_edge_pair_oracle():
     assert kinds["apart", False] == kinds["touching", True] == 600
     assert kinds["vertex", False] == kinds["edge", False] == 600
     assert kinds["overlapping", True] >= 400 and kinds["overlapping", False] >= 10
-    assert kinds["vertex inside", True] >= 50 and kinds["edge near", True] >= 100
+    assert kinds["vertex near", True] >= 50 and kinds["edge near", True] >= 100
 
 
 def test_convex_sets_distance_known_gaps():
